@@ -199,18 +199,45 @@ BENCHMARK(BM_CaptureCycle)
     ->Args({1, 17})
     ->Args({1, 32});
 
-void BM_LpCoverageUpdate(benchmark::State& state) {
-  const auto off = core::run_offline_phase(sim::CoreConfig{});
+/// The LP rows' input: one recorded run of a fixed random program.
+sim::RunResult lp_run() {
   util::Rng rng(6);
-  const auto run = shared_simulator().run(riscv::random_program(rng, 96));
+  return shared_simulator().run(riscv::random_program(rng, 96));
+}
+
+void BM_LpCoverageUpdate(benchmark::State& state) {
+  // The scalar reference: every window tests every channel. The map is
+  // built once and reset each iteration, so only update() is timed.
+  const auto off = core::run_offline_phase(sim::CoreConfig{});
+  const auto run = lp_run();
   const auto windows = core::extract_mst(run.trace);
+  core::LpCoverageMap lp(off.ifg, off.pdlc, shared_simulator().signal_db());
+  const std::vector<bool> none(lp.total(), false);
   for (auto _ : state) {
-    core::LpCoverageMap lp(off.ifg, off.pdlc,
-                           shared_simulator().signal_db());
+    lp.restore_covered(none);
     benchmark::DoNotOptimize(lp.update(run.trace, windows));
   }
+  state.counters["windows"] = static_cast<double>(windows.size());
 }
 BENCHMARK(BM_LpCoverageUpdate);
+
+void BM_LpProbe(benchmark::State& state) {
+  // The watch-list probe on the same run, with nothing covered yet.
+  const auto off = core::run_offline_phase(sim::CoreConfig{});
+  const auto run = lp_run();
+  const auto windows = core::extract_mst(run.trace);
+  const core::LpCoverageMap lp(off.ifg, off.pdlc,
+                               shared_simulator().signal_db());
+  std::vector<std::size_t> hits;
+  for (auto _ : state) {
+    lp.probe(run.trace, windows, nullptr, hits);
+    benchmark::DoNotOptimize(hits.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["windows"] = static_cast<double>(windows.size());
+  state.counters["hits"] = static_cast<double>(hits.size());
+}
+BENCHMARK(BM_LpProbe);
 
 }  // namespace
 

@@ -84,12 +84,15 @@ CampaignWorker::CampaignWorker(const sim::CoreConfig& core,
 void CampaignWorker::set_observability(const WorkerObservability& hooks) {
   tracer_ = hooks.tracer;
   lane_ = hooks.lane;
+  cache_hits_ = cache_misses_ = capped_runs_ = obs::Counter();
+  run_cycles_ = obs::Histogram();
   if (hooks.registry != nullptr) {
     cache_hits_ = hooks.registry->counter("checkpoint/cache_hits");
     cache_misses_ = hooks.registry->counter("checkpoint/cache_misses");
-  } else {
-    cache_hits_ = obs::Counter();
-    cache_misses_ = obs::Counter();
+    capped_runs_ = hooks.registry->counter("sim/capped_runs");
+    if (hooks.histograms) {
+      run_cycles_ = hooks.registry->histogram("hist/run_cycles");
+    }
   }
 }
 
@@ -212,6 +215,10 @@ void CampaignWorker::process(const fuzz::FuzzJob& job,
   for (VulnReport& report : out.reports) report.program = job.program;
   out.coverage = std::move(scratch_.coverage);
   out.cycles = run.cycles;
+  // Simulation cost per iteration follows run length, and runs that
+  // exhaust the cycle budget are its long tail.
+  run_cycles_.record(lane_, run.cycles);
+  if (run.cycles >= sim_.config().max_cycles) capped_runs_.add(lane_);
 
   // Donate the finished cold run to the checkpoint cache (the analysis
   // above is done with the trace; the merger never sees it anyway). An

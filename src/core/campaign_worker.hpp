@@ -46,7 +46,8 @@
 namespace specure::core {
 
 /// Observability wiring the session hands each worker before a run():
-/// registry counters (checkpoint-cache hit/miss on the worker's lane)
+/// registry instruments on the worker's lane (checkpoint-cache hit/miss,
+/// runs that hit max_cycles, and — with `histograms` — cycles per run)
 /// and, when tracing, the span recorder the worker emits execute /
 /// fast_tier / detailed / checkpoint_resume spans into. All-default
 /// (null) wiring makes every instrumentation site a no-op; nothing here
@@ -55,6 +56,7 @@ struct WorkerObservability {
   obs::Registry* registry = nullptr;
   obs::TraceRecorder* tracer = nullptr;
   std::size_t lane = 0;
+  bool histograms = false;  ///< the spec's `metrics` key
 };
 
 /// Everything the merger needs from one simulated iteration, in a form
@@ -222,6 +224,8 @@ class CampaignWorker {
   // no registry is attached; tracer_ == nullptr skips every span site.
   obs::Counter cache_hits_;
   obs::Counter cache_misses_;
+  obs::Counter capped_runs_;
+  obs::Histogram run_cycles_;
   obs::TraceRecorder* tracer_ = nullptr;
   std::size_t lane_ = 0;
   /// How simulate() served the most recent job (execute-span tags).

@@ -11,13 +11,13 @@ std::size_t coarse_bucket_count(const CampaignResult& result) {
 }
 
 ResultMerger::ResultMerger(const OfflineResult& offline,
-                           const snapshot::SignalDb& db,
-                           FeedbackMode feedback, LpPolicy lp_policy,
+                           const snapshot::SignalDb& /*db*/,
+                           FeedbackMode feedback, LpPolicy /*lp_policy*/,
                            std::size_t mst_sample_rows)
     : feedback_(feedback),
       mst_sample_rows_(mst_sample_rows),
-      lp_(offline.ifg, offline.pdlc, db, lp_policy),
-      covered_shadow_(lp_.total()) {
+      lp_(offline.pdlc.size()),
+      covered_shadow_(offline.pdlc.size()) {
   result_.pdlc_total = offline.pdlc.size();
 }
 

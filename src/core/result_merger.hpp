@@ -3,7 +3,7 @@
 //
 // The merger consumes WorkerResults strictly in iteration order and owns
 // every piece of cross-iteration campaign state: the authoritative LP
-// coverage map, the merged code-coverage point set, vulnerability
+// covered set, the merged code-coverage point set, vulnerability
 // deduplication by structural leakage signature (dedup_key), the MST
 // sample, and the per-iteration history. Because workers hand over order-independent facts and the
 // merger applies them in a fixed order, a campaign's CampaignResult is
@@ -61,6 +61,9 @@ std::size_t coarse_bucket_count(const CampaignResult& result);
 
 class ResultMerger {
  public:
+  /// The merger only commits the workers' LP hits, so its covered set
+  /// is sized from offline.pdlc.size() alone; `db` and `lp_policy` name
+  /// the channel universe the workers probe and are not read here.
   ResultMerger(const OfflineResult& offline, const snapshot::SignalDb& db,
                FeedbackMode feedback, LpPolicy lp_policy,
                std::size_t mst_sample_rows);
@@ -114,7 +117,7 @@ class ResultMerger {
  private:
   FeedbackMode feedback_;
   std::size_t mst_sample_rows_;
-  LpCoverageMap lp_;
+  LpCoveredSet lp_;
   util::AtomicBitset covered_shadow_;
   sim::CoverageRecorder code_cov_;
   CampaignResult result_;

@@ -329,7 +329,7 @@ CampaignResult Session::run() {
   // are detached so no stale recorder pointer survives.
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     workers_[w]->set_observability(
-        w < jobs ? WorkerObservability{&reg, tracer_.get(), w}
+        w < jobs ? WorkerObservability{&reg, tracer_.get(), w, hist}
                  : WorkerObservability{});
   }
   // Baseline for this run's PipelineStats view (registry deltas).

@@ -4,6 +4,7 @@
 
 #include "riscv/isa.hpp"
 #include "triage/signature.hpp"
+#include "util/bits.hpp"
 #include "util/strings.hpp"
 
 namespace specure::core {
@@ -81,12 +82,15 @@ std::vector<RootCause> VulnerabilityDetector::find_root_causes(
   std::vector<RootCause> out;
   const ift::NodeId sink = ifg_.find(sink_name);
   if (sink == ift::kInvalidNode) return out;
-  const auto changed = trace.changed_mask(from, to);
+  std::vector<std::uint64_t> changed;
+  trace.changed_words(from, to, changed);
   for (std::size_t idx : pdlc_.by_sink(sink)) {
     const ift::Pdlc& ch = pdlc_[idx];
     const std::string& src_name = ifg_.node(ch.source).name;
     const snapshot::SignalId sid = db_.find(src_name);
-    if (sid == snapshot::kInvalidSignal || !changed[sid]) continue;
+    if (sid == snapshot::kInvalidSignal || !util::word_bit(changed, sid)) {
+      continue;
+    }
     RootCause rc;
     rc.source_signal = src_name;
     for (ift::NodeId n : ch.path) rc.path.push_back(ifg_.node(n).name);

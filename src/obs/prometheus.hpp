@@ -42,8 +42,8 @@ class PrometheusRenderer {
 
  private:
   struct Family {
-    std::string type;                ///< "counter" | "gauge" | "histogram"
-    std::vector<std::string> lines;  ///< rendered sample lines
+    std::string type;  ///< "counter" | "gauge" | "histogram"
+    std::string text;  ///< rendered sample lines, each ending in '\n'
   };
 
   Family& family(const std::string& name, const char* type);

@@ -258,38 +258,44 @@ std::vector<SignalDelta> Trace::diff(std::uint64_t from,
   return out;
 }
 
+std::pair<std::size_t, std::size_t> Trace::window_events(
+    std::uint64_t from, std::uint64_t to) const {
+  // Recorded ticks with from < cycle <= to; the first tick never counts
+  // (its events are the initial values, not transitions).
+  const auto lo = std::upper_bound(cycles_.begin(), cycles_.end(), from);
+  const auto hi = std::upper_bound(cycles_.begin(), cycles_.end(), to);
+  const std::size_t first =
+      std::max<std::size_t>(static_cast<std::size_t>(lo - cycles_.begin()), 1);
+  const std::size_t end = static_cast<std::size_t>(hi - cycles_.begin());
+  if (first >= end) return {0, 0};
+  return {tick_begin(first), tick_end(end - 1)};
+}
+
 std::vector<std::uint32_t> Trace::change_counts(std::uint64_t from,
                                                 std::uint64_t to) const {
   std::vector<std::uint32_t> counts(db_->size(), 0);
-  if (cycles_.empty()) return counts;
-  // Recorded ticks with from < cycle <= to; the first tick never counts
-  // (its events are the initial values, not transitions).
-  auto lo = std::upper_bound(cycles_.begin(), cycles_.end(), from);
-  auto hi = std::upper_bound(cycles_.begin(), cycles_.end(), to);
-  std::size_t tick = static_cast<std::size_t>(lo - cycles_.begin());
-  const std::size_t end = static_cast<std::size_t>(hi - cycles_.begin());
-  if (tick == 0) tick = 1;
-  for (; tick < end; ++tick) {
-    for (std::size_t e = tick_begin(tick); e < tick_end(tick); ++e) {
-      ++counts[event_ids_[e]];
-    }
-  }
+  const auto [first, last] = window_events(from, to);
+  for (std::size_t e = first; e < last; ++e) ++counts[event_ids_[e]];
   return counts;
+}
+
+void Trace::changed_words(std::uint64_t from, std::uint64_t to,
+                          std::vector<std::uint64_t>& words) const {
+  words.assign((db_->size() + 63) / 64, 0);
+  const auto [first, last] = window_events(from, to);
+  for (std::size_t e = first; e < last; ++e) {
+    const SignalId id = event_ids_[e];
+    words[id >> 6] |= std::uint64_t{1} << (id & 63);
+  }
 }
 
 std::vector<bool> Trace::changed_mask(std::uint64_t from,
                                       std::uint64_t to) const {
-  std::vector<bool> mask(db_->size(), false);
-  if (cycles_.empty()) return mask;
-  auto lo = std::upper_bound(cycles_.begin(), cycles_.end(), from);
-  auto hi = std::upper_bound(cycles_.begin(), cycles_.end(), to);
-  std::size_t tick = static_cast<std::size_t>(lo - cycles_.begin());
-  const std::size_t end = static_cast<std::size_t>(hi - cycles_.begin());
-  if (tick == 0) tick = 1;
-  for (; tick < end; ++tick) {
-    for (std::size_t e = tick_begin(tick); e < tick_end(tick); ++e) {
-      mask[event_ids_[e]] = true;
-    }
+  std::vector<std::uint64_t> words;
+  changed_words(from, to, words);
+  std::vector<bool> mask(db_->size());
+  for (std::size_t id = 0; id < mask.size(); ++id) {
+    mask[id] = util::word_bit(words, id);
   }
   return mask;
 }

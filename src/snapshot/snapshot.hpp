@@ -20,6 +20,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "snapshot/signal_db.hpp"
@@ -162,14 +163,21 @@ class Trace {
   std::vector<SignalDelta> diff(std::uint64_t from, std::uint64_t to) const;
 
   /// Per-signal count of value *changes* (not bit toggles) at recorded
-  /// cycles c with from < c <= to. Used by the LP coverage calculator,
-  /// which asks how often PDLC signals toggled inside a speculative
-  /// window. Out-of-range windows yield zero counts.
+  /// cycles c with from < c <= to. Out-of-range windows yield zero
+  /// counts.
   std::vector<std::uint32_t> change_counts(std::uint64_t from,
                                            std::uint64_t to) const;
 
   /// Set of signal ids with at least one change at a recorded cycle in
-  /// (from, to]. Cost: O(signals + events inside the window).
+  /// (from, to], written into `words` as a word bitset (id i is bit
+  /// i % 64 of word i / 64; util::word_bit reads it). `words` is resized
+  /// to the signal count and overwritten, so a caller that keeps it
+  /// across windows allocates once. Out-of-range windows yield an empty
+  /// set. Cost: O(signals / 64 + events inside the window).
+  void changed_words(std::uint64_t from, std::uint64_t to,
+                     std::vector<std::uint64_t>& words) const;
+
+  /// changed_words() as one bool per signal id.
   std::vector<bool> changed_mask(std::uint64_t from, std::uint64_t to) const;
 
   /// True iff `id`'s value is non-zero at any recorded cycle c with
@@ -210,6 +218,11 @@ class Trace {
   std::size_t index_of(std::uint64_t cycle) const;
   /// Tick index of a recorded cycle, or npos when absent (no throw).
   std::size_t find_index(std::uint64_t cycle) const;
+  /// The event index range [first, last) of the recorded ticks with
+  /// from < cycle <= to — the one window walk change_counts and
+  /// changed_words share. Ticks are contiguous in the event columns.
+  std::pair<std::size_t, std::size_t> window_events(std::uint64_t from,
+                                                    std::uint64_t to) const;
   /// Materialize the values after tick `index` into `out`.
   void materialize(std::size_t index, std::vector<std::uint64_t>& out) const;
   /// Seed `out` with the nearest keyframe at or before `index`; returns

@@ -6,7 +6,7 @@
 // A plain std::vector<bool> is a data race there; this shadow makes the
 // sharing well-defined without making the campaign timing-dependent: a
 // worker that reads a stale word merely probes a channel the merger's
-// idempotent LpCoverageMap::commit() would have filtered anyway, so the
+// idempotent LpCoveredSet::commit() would have filtered anyway, so the
 // merged result is identical either way (see core/result_merger.hpp).
 #pragma once
 

@@ -2,7 +2,9 @@
 // snapshot machinery. Everything here is constexpr and header-only.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace specure::util {
 
@@ -43,6 +45,12 @@ constexpr std::uint64_t next_pow2(std::uint64_t v) {
 /// log2 of a power of two.
 constexpr unsigned log2_exact(std::uint64_t v) {
   return static_cast<unsigned>(__builtin_ctzll(v));
+}
+
+/// Bit i of a word bitset laid out as bit i % 64 of word i / 64 (the
+/// layout of snapshot::Trace::changed_words).
+inline bool word_bit(const std::vector<std::uint64_t>& words, std::size_t i) {
+  return (words[i >> 6] >> (i & 63)) & 1;
 }
 
 }  // namespace specure::util

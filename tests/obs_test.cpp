@@ -360,6 +360,29 @@ TEST(ObsNeutrality, MetricsSnapshotMatchesCampaign) {
   EXPECT_EQ(stats_jobs, jobs_done->total);
 }
 
+TEST(ObsNeutrality, RunLengthCountersMatchHistory) {
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    core::CampaignSpec spec;
+    spec.rng_seed = 7;
+    spec.jobs = jobs;
+    spec.budget.iterations = 120;
+    core::Session session(spec);
+    const core::CampaignResult result = session.run();
+
+    std::uint64_t capped = 0;
+    for (const core::IterationRecord& rec : result.history) {
+      capped += rec.cycles >= spec.core.max_cycles;
+    }
+    EXPECT_GT(capped, 0u);  // the budget reaches the cycle cap
+    const obs::Snapshot snap = session.metrics_snapshot();
+    EXPECT_EQ(snap.counter_value("sim/capped_runs"), capped);
+    const obs::HistogramSnapshot* cycles = snap.histogram("hist/run_cycles");
+    ASSERT_NE(cycles, nullptr);
+    EXPECT_EQ(cycles->count, result.history.size());
+  }
+}
+
 TEST(ObsNeutrality, InterruptedRunStillMaterializesStats) {
   core::CampaignSpec spec;
   spec.rng_seed = 9;

@@ -222,6 +222,12 @@ TEST(Trace, ChangedMask) {
   EXPECT_TRUE(mask[0]);
   EXPECT_FALSE(mask[1]);
   EXPECT_TRUE(mask[2]);
+  // The word form overwrites a reused buffer of any prior size.
+  std::vector<std::uint64_t> words(4, ~std::uint64_t{0});
+  t.changed_words(1, 3, words);
+  EXPECT_EQ(words, std::vector<std::uint64_t>{0b101});
+  t.changed_words(3, 9, words);
+  EXPECT_EQ(words, std::vector<std::uint64_t>{0});
 }
 
 TEST(Trace, EmptyWindowNoChanges) {

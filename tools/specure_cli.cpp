@@ -240,9 +240,24 @@ int report_and_exit_code(const core::CampaignResult& result,
                   static_cast<unsigned long long>(ws.handoffs),
                   static_cast<unsigned long long>(ws.tier_fallbacks));
     }
-    // Latency percentiles from the session's metrics registry (log2
-    // histogram estimates; registered unless the spec set metrics=false).
+    // Run length from the workers' registry lanes: runs that hit the
+    // cycle budget, and the mean of the cycles-per-run histogram (exact,
+    // unlike its log2 percentiles, whose top bucket straddles the cap).
+    // The histogram is registered unless the spec set metrics=false.
     const obs::Snapshot snap = session.metrics_snapshot();
+    if (const obs::HistogramSnapshot* cycles =
+            snap.histogram("hist/run_cycles");
+        cycles != nullptr && cycles->count > 0) {
+      std::printf("  sim: %llu of %llu runs capped at max_cycles=%llu"
+                  "  cycles/run mean %.0f\n",
+                  static_cast<unsigned long long>(
+                      snap.counter_value("sim/capped_runs")),
+                  static_cast<unsigned long long>(cycles->count),
+                  static_cast<unsigned long long>(spec.core.max_cycles),
+                  static_cast<double>(cycles->sum) /
+                      static_cast<double>(cycles->count));
+    }
+    // Latency percentiles (log2 histogram estimates).
     const auto percentile_row = [&snap](const char* label,
                                         const char* name) {
       const obs::HistogramSnapshot* h = snap.histogram(name);
