@@ -9,10 +9,9 @@
 // merge), so a scaling regression names the stage that ate the speedup.
 //
 // Scaling gate: on hosts with >= 4 hardware threads the jobs=4 row must
-// reach at least 2x the jobs=1 throughput (checkpoint-off pair — the
-// cold-simulation baseline, free of cache warm-up effects). On smaller
-// hosts the extra workers just time-slice one core, so the gate is
-// skipped with a visible notice instead of reporting a fake failure.
+// reach at least 2x the jobs=1 throughput. On smaller hosts the extra
+// workers just time-slice one core, so the gate is skipped with a visible
+// notice instead of reporting a fake failure.
 #include <cstdio>
 #include <thread>
 
@@ -33,83 +32,68 @@ int main(int argc, char** argv) {
               ", hardware threads: " +
               std::to_string(std::thread::hardware_concurrency()));
 
-  std::printf("  %-8s %-6s %-12s %-10s %-12s %-10s %-12s\n", "jobs", "ckpt",
-              "seconds", "iters/sec", "speedup", "lp-cov", "peak-rss");
+  std::printf("  %-8s %-12s %-10s %-12s %-10s %-12s\n", "jobs", "seconds",
+              "iters/sec", "speedup", "lp-cov", "peak-rss");
   double base_ips = 0;
   std::size_t base_lp = 0;
-  bool base_set = false;
-  double ips_jobs1_nockpt = 0;
-  double ips_jobs4_nockpt = 0;
-  // checkpoint=off rows first (the cold baseline), then the default
-  // checkpointed rows — every row runs the same campaign, so lp-cov must
-  // agree across the whole matrix (jobs AND checkpoint invariance).
-  for (const bool checkpoint : {false, true}) {
-    for (const std::size_t jobs : {1u, 2u, 4u, 8u}) {
-      if (!checkpoint && jobs != 1 && jobs != 4) continue;
-      core::CampaignSpec spec;
-      spec.rng_seed = 1;
-      spec.jobs = jobs;
-      spec.batch_size = kBatch;
-      spec.budget.iterations = kIters;
-      spec.checkpoint = checkpoint;
-      const auto [result, pipeline, registry] =
-          bench::run_spec_with_stats(spec);
-      const double ips =
-          result.seconds > 0
-              ? static_cast<double>(result.history.size()) / result.seconds
-              : 0.0;
-      const std::size_t lp =
-          result.history.empty() ? 0 : result.history.back().covered_pdlc;
-      if (!base_set) {
-        base_ips = ips;
-        base_lp = lp;
-        base_set = true;
-      }
-      std::printf("  %-8zu %-6s %-12.3f %-10.1f %-12.2f %-10zu %zu KiB\n",
-                  jobs, checkpoint ? "on" : "off", result.seconds, ips,
-                  base_ips > 0 ? ips / base_ips : 0.0, lp, peak_rss_kib());
-      double execute = 0;
-      double queue_wait = 0;
-      for (std::size_t w = 0; w < pipeline.workers.size(); ++w) {
-        const core::PipelineWorkerStats& ws = pipeline.workers[w];
-        execute += ws.execute_seconds;
-        queue_wait += ws.queue_wait_seconds;
-        std::printf("    worker %zu: %llu jobs, execute %.3fs, "
-                    "queue-wait %.3fs\n",
-                    w, static_cast<unsigned long long>(ws.jobs),
-                    ws.execute_seconds, ws.queue_wait_seconds);
-      }
-      std::printf("    merger: generate %.3fs, merge %.3fs, "
-                  "result-wait %.3fs\n",
-                  pipeline.generate_seconds, pipeline.merge_seconds,
-                  pipeline.result_wait_seconds);
-      const std::string suffix =
-          "_jobs" + std::to_string(jobs) + (checkpoint ? "" : "_nockpt");
-      json.metric("iters_per_sec" + suffix, ips);
-      json.metric("execute_seconds" + suffix, execute);
-      json.metric("queue_wait_seconds" + suffix, queue_wait);
-      json.metric("generate_seconds" + suffix, pipeline.generate_seconds);
-      json.metric("merge_seconds" + suffix, pipeline.merge_seconds);
-      json.metric("result_wait_seconds" + suffix,
-                  pipeline.result_wait_seconds);
-      if (lp != base_lp) {
-        std::printf("  !! determinism violation: lp-cov %zu != %zu at the "
-                    "jobs=1 checkpoint=off baseline\n",
-                    lp, base_lp);
-        return 1;
-      }
-      if (!checkpoint && jobs == 1) ips_jobs1_nockpt = ips;
-      if (!checkpoint && jobs == 4) ips_jobs4_nockpt = ips;
-      // The full registry snapshot of the deepest row (jobs=8,
-      // checkpoint=on) rides along in the JSON.
-      if (checkpoint && jobs == 8) {
-        bench::export_registry(json, registry);
-      }
+  double ips_jobs4 = 0;
+  // Every row runs the same campaign, so lp-cov must agree across rows.
+  for (const std::size_t jobs : {1u, 2u, 4u, 8u}) {
+    core::CampaignSpec spec;
+    spec.rng_seed = 1;
+    spec.jobs = jobs;
+    spec.batch_size = kBatch;
+    spec.budget.iterations = kIters;
+    const auto [result, pipeline, registry] = bench::run_spec_with_stats(spec);
+    const double ips =
+        result.seconds > 0
+            ? static_cast<double>(result.history.size()) / result.seconds
+            : 0.0;
+    const std::size_t lp =
+        result.history.empty() ? 0 : result.history.back().covered_pdlc;
+    if (jobs == 1) {
+      base_ips = ips;
+      base_lp = lp;
     }
+    if (jobs == 4) ips_jobs4 = ips;
+    std::printf("  %-8zu %-12.3f %-10.1f %-12.2f %-10zu %zu KiB\n", jobs,
+                result.seconds, ips, base_ips > 0 ? ips / base_ips : 0.0, lp,
+                peak_rss_kib());
+    double execute = 0;
+    double queue_wait = 0;
+    for (std::size_t w = 0; w < pipeline.workers.size(); ++w) {
+      const core::PipelineWorkerStats& ws = pipeline.workers[w];
+      execute += ws.execute_seconds;
+      queue_wait += ws.queue_wait_seconds;
+      std::printf("    worker %zu: %llu jobs, execute %.3fs, "
+                  "queue-wait %.3fs\n",
+                  w, static_cast<unsigned long long>(ws.jobs),
+                  ws.execute_seconds, ws.queue_wait_seconds);
+    }
+    std::printf("    merger: generate %.3fs, merge %.3fs, "
+                "result-wait %.3fs\n",
+                pipeline.generate_seconds, pipeline.merge_seconds,
+                pipeline.result_wait_seconds);
+    const std::string suffix = "_jobs" + std::to_string(jobs);
+    json.metric("iters_per_sec" + suffix, ips);
+    json.metric("execute_seconds" + suffix, execute);
+    json.metric("queue_wait_seconds" + suffix, queue_wait);
+    json.metric("generate_seconds" + suffix, pipeline.generate_seconds);
+    json.metric("merge_seconds" + suffix, pipeline.merge_seconds);
+    json.metric("result_wait_seconds" + suffix, pipeline.result_wait_seconds);
+    if (lp != base_lp) {
+      std::printf("  !! determinism violation: lp-cov %zu != %zu at the "
+                  "jobs=1 baseline\n",
+                  lp, base_lp);
+      return 1;
+    }
+    // The full registry snapshot of the deepest row (jobs=8) rides along
+    // in the JSON.
+    if (jobs == 8) bench::export_registry(json, registry);
   }
   json.metric("peak_rss_kib", static_cast<double>(peak_rss_kib()));
-  bench::note("speedup is relative to jobs=1 checkpoint=off; campaign "
-              "results are identical across rows by construction");
+  bench::note("speedup is relative to jobs=1; campaign results are "
+              "identical across rows by construction");
   bench::note("peak-rss is the process high-water mark (monotonic across "
               "rows); worker traces are delta-native, O(changes) each");
 
@@ -117,10 +101,8 @@ int main(int argc, char** argv) {
   // can actually run on 4 hardware threads.
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw >= 4) {
-    const double speedup = ips_jobs1_nockpt > 0
-                               ? ips_jobs4_nockpt / ips_jobs1_nockpt
-                               : 0.0;
-    json.metric("speedup_jobs4_nockpt", speedup);
+    const double speedup = base_ips > 0 ? ips_jobs4 / base_ips : 0.0;
+    json.metric("speedup_jobs4", speedup);
     if (speedup < 2.0) {
       std::printf("  !! scaling gate FAILED: jobs=4 is %.2fx jobs=1 "
                   "(need >= 2.00x on %u hardware threads)\n",

@@ -4,8 +4,8 @@
 #include <set>
 
 #include "core/mst.hpp"
-#include "core/specure.hpp"
 #include "core/offline.hpp"
+#include "core/vuln_detect.hpp"
 #include "riscv/program.hpp"
 
 namespace specure::baseline {

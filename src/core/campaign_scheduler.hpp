@@ -1,11 +1,10 @@
 // Campaign scheduler — the job-producing end of the Online Phase pipeline
 // (scheduler → simulation workers → result merger).
 //
-// The scheduler owns the Hardware Fuzzer and draws batches of
-// (iteration, program, derived_rng_seed) jobs from it. All programs of a
-// batch are generated from the corpus state at the start of the batch;
-// corpus feedback routed back through feedback() between batches is what
-// gives the engine its batch-synchronous semantics (see specure.hpp).
+// The scheduler owns the Hardware Fuzzer and draws (iteration, program,
+// derived_rng_seed) jobs from it. Corpus feedback routed back through
+// feedback() as iterations merge is what gives the campaign its
+// sliding-window generation contract (see session.hpp).
 #pragma once
 
 #include <cstdint>
@@ -35,15 +34,6 @@ class CampaignScheduler {
   /// interesting (new coverage or a finding). Takes effect for every batch
   /// drawn after this call.
   void feedback(const riscv::Program& program, std::uint64_t iteration);
-
-  /// Parent-affinity routing: the worker index that should simulate
-  /// `job`. All children of one corpus parent land on the same worker —
-  /// the one holding that parent's checkpoint set — so the per-worker
-  /// checkpoint caches see every reuse opportunity. Deterministic in the
-  /// job's content alone, so routing never affects campaign results,
-  /// only which worker pays which cost.
-  static std::size_t worker_for(const fuzz::FuzzJob& job,
-                                std::size_t workers);
 
   std::uint64_t issued() const { return issued_; }
   /// True once the campaign's iteration budget is fully issued.

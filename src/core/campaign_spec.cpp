@@ -140,11 +140,10 @@ const std::vector<KeyDef>& key_table() {
       SPEC_BOOL("mwait", "core", core.vuln.mwait_emulation),
       SPEC_BOOL("zenbleed", "core", core.vuln.zenbleed_emulation),
       // Debug/differential switch: record the dense reference trace next
-      // to the delta trace. Workers drop to the cold detailed path
-      // (checkpoint + fast tier bypassed), so campaign results must be
-      // identical with it on or off — CI's capture-differential smoke
-      // diffs the two reports. Deliberately NOT result-neutral for
-      // serve's dedup key: a dense run is a different execution plan.
+      // to the delta trace. Campaign results must be identical with it on
+      // or off — CI's capture-differential smoke diffs the two reports.
+      // Deliberately NOT result-neutral for serve's dedup key: a dense run
+      // is a different execution plan.
       SPEC_BOOL("dense_trace", "core", core.record_dense_trace),
       // -- fuzzer ----------------------------------------------------------
       SPEC_BOOL("special_seeds", "fuzzer", fuzzer.use_special_seeds),
@@ -215,22 +214,6 @@ const std::vector<KeyDef>& key_table() {
                                  "' is not an executor (window | barrier)");
                }
              }},
-      KeyDef{"tier", "campaign", true,
-             [](const CampaignSpec& s) {
-               return std::string(tier_mode_name(s.tier));
-             },
-             [](CampaignSpec& s, const std::string& v) {
-               if (v == "detailed") {
-                 s.tier = TierMode::kDetailed;
-               } else if (v == "fast") {
-                 s.tier = TierMode::kFast;
-               } else {
-                 throw SpecError("tier: '" + v +
-                                 "' is not a tier (detailed | fast)");
-               }
-             }},
-      SPEC_BOOL("checkpoint", "campaign", checkpoint),
-      SPEC_SIZE("checkpoint_cache_mb", "campaign", checkpoint_cache_mb),
       SPEC_SIZE("mst_rows", "campaign", mst_sample_rows),
       SPEC_U64("progress_interval", "campaign", progress_interval),
       KeyDef{"vcd_out", "campaign", true,
@@ -358,10 +341,6 @@ std::string_view lp_policy_name(LpPolicy policy) {
 
 std::string_view pipeline_mode_name(PipelineMode mode) {
   return mode == PipelineMode::kWindow ? "window" : "barrier";
-}
-
-std::string_view tier_mode_name(TierMode mode) {
-  return mode == TierMode::kFast ? "fast" : "detailed";
 }
 
 std::string_view triage_mode_name(TriageMode mode) {
@@ -624,10 +603,6 @@ void CampaignSpec::validate() const {
   if (state_interval > 0 && state_out.empty()) {
     bad("state_interval needs state_out — a cadence without a state file "
         "path writes nothing");
-  }
-  if (checkpoint && checkpoint_cache_mb == 0) {
-    bad("checkpoint_cache_mb must be >= 1 when checkpoint is on (use "
-        "checkpoint=off to disable the fast path instead)");
   }
 
   if (!problems.empty()) {

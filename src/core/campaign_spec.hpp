@@ -81,15 +81,8 @@ enum class PipelineMode : std::uint8_t { kWindow, kBarrier };
 
 std::string_view pipeline_mode_name(PipelineMode mode);
 
-/// Execution tier policy. kFast runs each cold job's straight-line
-/// prefix (up to the first instruction that can arm speculation for the
-/// active detector) through the fast-functional tier and hands off to
-/// the detailed core at the boundary; kDetailed runs everything on the
-/// detailed core. Bit-identical CampaignResults either way (pinned by
-/// the tiered differential suite) — only wall-clock behaviour differs.
+/// Unread; kept only for CampaignSpec::tier (see there).
 enum class TierMode : std::uint8_t { kDetailed, kFast };
-
-std::string_view tier_mode_name(TierMode mode);
 
 struct SpecField {
   std::string key;      ///< flat override key, e.g. "rob_entries"
@@ -113,7 +106,7 @@ struct CampaignSpec {
   std::size_t jobs = 0;
   /// The sliding-window width W: job k is generated from the merged
   /// campaign state through iteration k - W, so at most W jobs are ever
-  /// in flight (see core/specure.hpp). Raising W trades corpus-feedback
+  /// in flight (see core/session.hpp). Raising W trades corpus-feedback
   /// latency for parallelism; 1 reproduces the classic serial
   /// generate -> simulate -> feed-back loop exactly.
   std::size_t batch_size = 32;
@@ -122,22 +115,9 @@ struct CampaignSpec {
   /// results — both implement the same generation contract — only
   /// wall-clock scaling.
   PipelineMode pipeline = PipelineMode::kWindow;
-  /// Execution tier: fast (fast-functional prefix tier + detailed
-  /// continuation, default) | detailed (everything on the detailed
-  /// core). Never affects campaign results. Automatically degraded to
-  /// detailed when record_dense_trace is set.
+  // Unread, no spec key: every job runs cold; the benchmark still sets them.
   TierMode tier = TierMode::kFast;
-  /// Checkpointed incremental simulation: workers cache per-corpus-parent
-  /// checkpoint sets and resume mutants from the deepest checkpoint
-  /// preceding their first divergent instruction. Results are
-  /// bit-identical to the cold path (pinned by the checkpoint
-  /// differential suite); off forces every run cold. Automatically
-  /// bypassed when record_dense_trace is set.
   bool checkpoint = true;
-  /// Total checkpoint-cache budget in MiB, split evenly across workers
-  /// (parent-affinity shards parents across workers, so per-worker
-  /// shares see the parents they are responsible for). LRU beyond it.
-  std::size_t checkpoint_cache_mb = 64;
   /// on_progress event cadence in merged iterations; 0 disables.
   std::uint64_t progress_interval = 500;
   /// When non-empty: directory that receives one VCD waveform per
@@ -172,9 +152,8 @@ struct CampaignSpec {
   /// differential in obs_test).
   bool metrics = true;
   /// When non-empty: write a Chrome trace-event JSON of the most recent
-  /// run()'s pipeline spans (generate / queue-wait / execute with
-  /// fast-tier, detailed and checkpoint-resume sub-spans / result-wait /
-  /// merge / vcd-drain) to this path — loadable in Perfetto or
+  /// run()'s pipeline spans (generate / queue-wait / execute /
+  /// result-wait / merge / vcd-drain) to this path — loadable in Perfetto or
   /// chrome://tracing. Ring-buffered: long campaigns keep the most
   /// recent window of events at bounded memory. Empty = off.
   /// Wall-clock-only: never affects the CampaignResult.

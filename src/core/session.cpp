@@ -82,9 +82,6 @@ PipelineStats pipeline_stats_view(const obs::Snapshot& base,
             delta_shard(end, base, "worker/queue_wait_ns", w)) /
         1e9;
     ws.jobs = delta_shard(end, base, "worker/jobs", w);
-    ws.fast_cycles = delta_shard(end, base, "tier/fast_cycles", w);
-    ws.handoffs = delta_shard(end, base, "tier/handoffs", w);
-    ws.tier_fallbacks = delta_shard(end, base, "tier/fallbacks", w);
   }
   return out;
 }
@@ -164,10 +161,6 @@ Session::StopCondition Session::stop_on_finding(std::string key_substring) {
   };
 }
 
-void Session::set_iteration_budget(std::uint64_t iterations) {
-  spec_.budget.iterations = iterations;
-}
-
 std::size_t Session::resolved_jobs() const {
   std::size_t jobs = spec_.jobs;
   if (jobs == 0) jobs = std::thread::hardware_concurrency();
@@ -229,38 +222,17 @@ CampaignResult Session::run() {
   // references the LP prober and detector hold into them) at stable
   // addresses. Grown, never shrunk: a later run() may resolve more jobs
   // (the serve daemon rescales a tenant's share as campaigns come and
-  // go), and worker caches are wall-clock-only state either way.
+  // go), and workers hold no campaign state either way.
   if (workers_.size() < jobs) {
-    WorkerCheckpointOptions checkpoint;
-    // The dense reference recorder has no resume prefix; fall back to
-    // all-cold rather than rejecting the (debug-only) combination.
-    checkpoint.enabled = spec_.checkpoint && !spec_.core.record_dense_trace;
-    // The spec budget is the campaign total; each worker gets an even
-    // share (affinity shards parents, so shares don't overlap).
-    checkpoint.cache_bytes =
-        std::max<std::size_t>((spec_.checkpoint_cache_mb << 20) / jobs,
-                              std::size_t{1} << 20);
-    WorkerTierOptions tier;
-    tier.fast = spec_.tier == TierMode::kFast;
-    // Cache-monitoring detectors observe loads, so the fast prefix must
-    // stop at the first load as well (fuzz::handoff_index policy).
-    tier.loads_arm = spec_.detector.monitor_cache;
     workers_.reserve(jobs);
     for (std::size_t w = workers_.size(); w < jobs; ++w) {
       workers_.push_back(std::make_unique<CampaignWorker>(
-          spec_.core, offline_, spec_.lp_policy, spec_.detector,
-          checkpoint, tier));
+          spec_.core, offline_, spec_.lp_policy, spec_.detector));
     }
   }
 
   pipeline_stats_ = PipelineStats{};
   pipeline_stats_.workers.resize(jobs);
-  // Worker tier stats are cumulative across run() calls; snapshot a
-  // baseline so this run reports its own deltas.
-  std::vector<sim::TierStats> tier_baseline(jobs);
-  for (std::size_t w = 0; w < jobs; ++w) {
-    tier_baseline[w] = workers_[w]->tier_stats();
-  }
   const auto now = [] { return std::chrono::steady_clock::now(); };
   const auto secs = [](std::chrono::steady_clock::duration d) {
     return std::chrono::duration<double>(d).count();
@@ -286,7 +258,6 @@ CampaignResult Session::run() {
   struct {
     obs::Counter generate, merge, result_wait, vcd;     // merge strand
     obs::Counter execute, queue_wait, jobs_done;        // per worker
-    obs::Counter fast_cycles, handoffs, fallbacks;      // tier mirror
     obs::Counter iterations, findings;
     obs::Gauge covered_pdlc, coverage_points;
     obs::Histogram h_generate, h_queue, h_execute, h_result, h_merge,
@@ -299,9 +270,6 @@ CampaignResult Session::run() {
   o.execute = reg.counter("worker/execute_ns");
   o.queue_wait = reg.counter("worker/queue_wait_ns");
   o.jobs_done = reg.counter("worker/jobs");
-  o.fast_cycles = reg.counter("tier/fast_cycles");
-  o.handoffs = reg.counter("tier/handoffs");
-  o.fallbacks = reg.counter("tier/fallbacks");
   o.iterations = reg.counter("campaign/iterations");
   o.findings = reg.counter("campaign/findings");
   o.covered_pdlc = reg.gauge("campaign/covered_pdlc");
@@ -553,7 +521,8 @@ CampaignResult Session::run() {
   // iteration k merges. Same operation sequence as the pipelined
   // executor, so bit-identical results — kept as the differential
   // reference and as the inline path for jobs == 1 (where a pipeline
-  // cannot overlap anything and thread handoff would be pure overhead).
+  // cannot overlap anything and passing jobs between threads would be
+  // pure overhead).
   const auto run_barrier = [&] {
     if (!pool_ || pool_->contexts() < jobs) {
       pool_ = std::make_unique<util::ThreadPool>(jobs);
@@ -579,49 +548,22 @@ CampaignResult Session::run() {
     }
 
     std::vector<WorkerResult> results(window);
-    std::vector<std::vector<std::size_t>> groups(jobs);
     while (!stopped && !paused && !pending.empty()) {
-      // Parent-affinity routing: each job is pinned to the worker that
-      // holds (or will build) its corpus parent's checkpoint set, so the
-      // per-worker checkpoint caches see every reuse opportunity. The
-      // assignment depends only on job content — never on timing — so
-      // results stay bit-identical for any worker count.
-      for (auto& group : groups) group.clear();
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        groups[CampaignScheduler::worker_for(pending[i], jobs)].push_back(i);
-      }
-      // Rebalance: a window dominated by one parent (small early corpus,
-      // replay seeds) would otherwise serialize on a single worker. Spill
-      // overflow beyond an even share to the least-loaded groups — worker
-      // results are assignment-independent, so this affects only which
-      // cache sees which job, never the campaign result.
-      if (jobs > 1) {
-        const std::size_t share = (pending.size() + jobs - 1) / jobs;
-        std::vector<std::size_t> overflow;
-        for (auto& group : groups) {
-          while (group.size() > share) {
-            overflow.push_back(group.back());
-            group.pop_back();
-          }
-        }
-        for (const std::size_t task : overflow) {
-          auto* least = &groups.front();
-          for (auto& group : groups) {
-            if (group.size() < least->size()) least = &group;
-          }
-          least->push_back(task);
-        }
-      }
+      // Even split: task i runs on worker i mod jobs. Worker results are
+      // assignment-independent, so the split never affects the result.
       pool.parallel_for(jobs, [&](std::size_t worker, std::size_t) {
-        for (const std::size_t task : groups[worker]) {
+        std::uint64_t done = 0;
+        for (std::size_t task = worker; task < pending.size();
+             task += jobs) {
           const auto j0 = now();
           if (test_job_delay_) test_job_delay_(pending[task], worker);
           workers_[worker]->process(pending[task], &covered, results[task]);
           const std::uint64_t d = to_ns(now() - j0);
           o.execute.add(worker, d);
           o.h_execute.record(worker, d);
+          ++done;
         }
-        o.jobs_done.add(worker, groups[worker].size());
+        o.jobs_done.add(worker, done);
       });
 
       next.clear();
@@ -733,39 +675,28 @@ CampaignResult Session::run() {
       });
     }
 
-    // Dispatch bookkeeping — all merger-thread-private and a pure
-    // function of merged campaign state, so the worker assignment (and
-    // with it the checkpoint-cache population) is deterministic. Spill
-    // beyond an even share mirrors the barrier executor's rebalance:
-    // affinity is a cache hint, never a serialization point.
+    // Dispatch bookkeeping (merger-thread-private): each job goes to the
+    // worker with the fewest jobs in flight, the lowest index on ties.
     std::vector<std::size_t> slot_worker(window, 0);
     std::vector<std::size_t> load(jobs, 0);
     std::vector<bool> ready(window, false);
-    const std::size_t share = (window + jobs - 1) / jobs;
     // Absolute campaign counters (resume continues mid-stream; slot
     // indices are functions of absolute iteration numbers, so the slot
     // mapping is identical to the uninterrupted run's).
     std::uint64_t issued = merged_total;
     std::uint64_t merged = merged_total;
 
-    // The most recent dispatch's parent-affinity decision (merge-strand
-    // private), tagged onto the generate span when tracing.
-    std::size_t last_affinity = 0;
+    // The most recent dispatch's worker (merge-strand private), tagged
+    // onto the generate span when tracing.
     std::size_t last_assigned = 0;
 
     const auto dispatch = [&](fuzz::FuzzJob&& job) {
       const auto s =
           static_cast<std::uint32_t>((job.iteration - 1) % window);
-      const std::size_t affinity = CampaignScheduler::worker_for(job, jobs);
-      std::size_t w = affinity;
-      if (load[w] >= share) {
-        std::size_t least = 0;
-        for (std::size_t i = 1; i < jobs; ++i) {
-          if (load[i] < load[least]) least = i;
-        }
-        w = least;
+      std::size_t w = 0;
+      for (std::size_t i = 1; i < jobs; ++i) {
+        if (load[i] < load[w]) w = i;
       }
-      last_affinity = affinity;
       last_assigned = w;
       slot_worker[s] = w;
       ++load[w];
@@ -847,9 +778,7 @@ CampaignResult Session::run() {
           if (tracing) {
             tracer_->record(
                 merge_lane_, "generate", "pipeline", g0, g1, drawn_iteration,
-                {"affinity_worker", static_cast<std::int64_t>(last_affinity)},
-                {"assigned_worker", static_cast<std::int64_t>(last_assigned)},
-                {"spilled", last_assigned != last_affinity ? 1 : 0});
+                {"assigned_worker", static_cast<std::int64_t>(last_assigned)});
           }
         }
         if (post_merge()) {
@@ -878,17 +807,9 @@ CampaignResult Session::run() {
     run_window();
   }
 
-  // Mirror this run's tier deltas into the registry (the simulator
-  // accumulates TierStats internally; the registry is the export
-  // surface), then materialize PipelineStats as the registry delta over
-  // this run's baseline. Workers have quiesced by here (threads joined,
-  // parallel_for returned), so plain reads are race-free.
-  for (std::size_t w = 0; w < jobs; ++w) {
-    const sim::TierStats& ts = workers_[w]->tier_stats();
-    o.fast_cycles.add(w, ts.fast_cycles - tier_baseline[w].fast_cycles);
-    o.handoffs.add(w, ts.handoffs - tier_baseline[w].handoffs);
-    o.fallbacks.add(w, ts.fallbacks - tier_baseline[w].fallbacks);
-  }
+  // PipelineStats is the registry delta over this run's baseline.
+  // Workers have quiesced by here (threads joined, parallel_for
+  // returned), so the snapshot sees every worker's final counts.
   pipeline_stats_ = pipeline_stats_view(obs_base, reg.snapshot(), jobs);
 
   const auto flush_trace = [&] {

@@ -78,12 +78,6 @@ FuzzJob Fuzzer::next_job() {
   job.iteration = ++iteration_;
   job.program = generate();
   job.rng_seed = util::Rng::derive_seed(job_seed_base_, job.iteration);
-  if (gen_has_parent_) {
-    job.has_parent = true;
-    job.parent = gen_parent_;
-    job.parent_hash = gen_parent_.hash();
-    job.divergence = first_divergence(gen_parent_, job.program);
-  }
   return job;
 }
 
@@ -95,34 +89,21 @@ std::vector<FuzzJob> Fuzzer::next_batch(std::size_t count) {
 }
 
 riscv::Program Fuzzer::generate() {
-  gen_has_parent_ = false;
   if (!pending_seeds_.empty()) {
     Seed s = std::move(pending_seeds_.back());
     pending_seeds_.pop_back();
     corpus_.add(s.program, s.name, iteration_);
-    last_ = s.program;
-    return s.program;
+    return std::move(s.program);
   }
   if (corpus_.empty()) {
-    last_ = riscv::random_program(rng_, options_.random_seed_len);
-    return last_;
+    return riscv::random_program(rng_, options_.random_seed_len);
   }
   if (corpus_.size() >= 2 && rng_.chance(options_.splice_percent, 100)) {
     const auto& a = corpus_.select(rng_);
     const auto& b = corpus_.select(rng_);
-    last_ = mutate(splice(a.program, b.program, rng_), rng_,
-                   options_.mutator);
-    // The splice head donor is the locality parent: the spliced prefix
-    // (and often more, post-mutation) is shared with it.
-    gen_parent_ = a.program;
-    gen_has_parent_ = true;
-    return last_;
+    return mutate(splice(a.program, b.program, rng_), rng_, options_.mutator);
   }
-  const auto& base = corpus_.select(rng_);
-  last_ = mutate(base.program, rng_, options_.mutator);
-  gen_parent_ = base.program;
-  gen_has_parent_ = true;
-  return last_;
+  return mutate(corpus_.select(rng_).program, rng_, options_.mutator);
 }
 
 FuzzerState Fuzzer::save_state() const {
@@ -139,7 +120,6 @@ void Fuzzer::restore_state(const FuzzerState& state) {
   iteration_ = state.iteration;
   corpus_.restore(state.corpus);
   pending_seeds_ = state.pending_seeds;
-  gen_has_parent_ = false;
 }
 
 void Fuzzer::report_interesting(const riscv::Program& program) {

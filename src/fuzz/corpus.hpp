@@ -75,15 +75,6 @@ struct FuzzJob {
   std::uint64_t iteration = 0;
   riscv::Program program;
   std::uint64_t rng_seed = 0;
-  /// Mutation locality (the checkpoint fast path): the corpus entry this
-  /// program was mutated from, its identity hash, and the first
-  /// instruction index at which the mutant can observably diverge from
-  /// it (first_divergence). has_parent is false for seed replays and
-  /// corpus-empty randoms; those always take the cold path.
-  bool has_parent = false;
-  riscv::Program parent;
-  std::uint64_t parent_hash = 0;
-  std::size_t divergence = 0;
 };
 
 /// Everything that determines the fuzzer's future output stream, as one
@@ -139,8 +130,7 @@ class Fuzzer {
   /// Snapshot / restore the deterministic generation state. The derived
   /// job-seed base is not part of the state: it is a pure function of the
   /// construction seed, so the restoring fuzzer (built from the same
-  /// spec) recomputes it. last_/gen_parent_ are dead between next_job()
-  /// calls and are likewise excluded.
+  /// spec) recomputes it.
   FuzzerState save_state() const;
   void restore_state(const FuzzerState& state);
 
@@ -153,11 +143,6 @@ class Fuzzer {
   std::vector<Seed> pending_seeds_;
   std::uint64_t iteration_ = 0;
   std::uint64_t job_seed_base_ = 0;  ///< base for per-iteration RNG seeds
-  riscv::Program last_;
-  /// Mutation parent of the most recent generate() (for FuzzJob
-  /// locality reporting); has_parent is false for seeds and randoms.
-  riscv::Program gen_parent_;
-  bool gen_has_parent_ = false;
 };
 
 }  // namespace specure::fuzz

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "riscv/decode.hpp"
-#include "sim/fast_tier.hpp"
 
 namespace specure::fuzz {
 
@@ -125,34 +124,6 @@ Program mutate(const Program& input, util::Rng& rng,
     p.data.resize(options.max_data_len);
   }
   return p;
-}
-
-std::size_t first_divergence(const Program& parent, const Program& child) {
-  const std::size_t data_max = std::max(parent.data.size(), child.data.size());
-  for (std::size_t i = 0; i < data_max; ++i) {
-    const std::uint8_t a = i < parent.data.size() ? parent.data[i] : 0;
-    const std::uint8_t b = i < child.data.size() ? child.data[i] : 0;
-    if (a != b) return 0;
-  }
-  const std::size_t code_max = std::max(parent.code.size(), child.code.size());
-  std::size_t first = kNoDivergence;
-  for (std::size_t i = 0; i < code_max; ++i) {
-    const std::uint32_t a = i < parent.code.size() ? parent.code[i] : 0;
-    const std::uint32_t b = i < child.code.size() ? child.code[i] : 0;
-    if (a != b) {
-      first = i;
-      break;
-    }
-  }
-  if (parent.code.size() != child.code.size()) {
-    first = std::min(first,
-                     std::min(parent.code.size(), child.code.size()));
-  }
-  return first;
-}
-
-std::size_t handoff_index(const riscv::DecodedProgram& dec, bool loads_arm) {
-  return sim::fast_handoff_scan(dec.insts, loads_arm);
 }
 
 Program splice(const Program& a, const Program& b, util::Rng& rng) {

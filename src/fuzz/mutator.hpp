@@ -10,10 +10,6 @@
 #include "riscv/program.hpp"
 #include "util/rng.hpp"
 
-namespace specure::riscv {
-struct DecodedProgram;
-}
-
 namespace specure::fuzz {
 
 enum class MutationOp : std::uint8_t {
@@ -50,34 +46,5 @@ riscv::Program mutate(const riscv::Program& input, util::Rng& rng,
 /// Crossover: head of `a` spliced with tail of `b`.
 riscv::Program splice(const riscv::Program& a, const riscv::Program& b,
                       util::Rng& rng);
-
-/// Sentinel for first_divergence: the two programs are observationally
-/// identical (a resumed run may use any checkpoint).
-inline constexpr std::size_t kNoDivergence = static_cast<std::size_t>(-1);
-
-/// First instruction index at which running `child` could observe a
-/// difference from `parent` — the mutation-locality report the
-/// checkpoint fast path keys on. A checkpoint of the parent is valid for
-/// the child iff its fetch watermark is strictly below this index.
-///
-/// Rules: any data-image difference returns 0 (loads can reach the whole
-/// image from cycle one); otherwise the first differing code word,
-/// except that differing code *lengths* cap the result at the shorter
-/// length (the simulator's end-of-program probe observes the length).
-/// Zero-padding beyond each image matches Memory::fetch semantics.
-std::size_t first_divergence(const riscv::Program& parent,
-                             const riscv::Program& child);
-
-/// Index of the first instruction that can arm speculation for the
-/// active scenario — where the tiered simulator must hand the program
-/// from the fast-functional prefix tier to the detailed core. Branches,
-/// jumps and serializing ops always arm; loads additionally arm when
-/// `loads_arm` (the preset's detector monitors the data cache). Returns
-/// `dec.insts.size()` when the whole program is prefix-executable. The
-/// campaign worker takes the minimum of this and the job's
-/// first_divergence index (both are code-word indices), so a mutant
-/// never fast-forwards past the point where it stops matching its
-/// parent's prefix.
-std::size_t handoff_index(const riscv::DecodedProgram& dec, bool loads_arm);
 
 }  // namespace specure::fuzz

@@ -52,7 +52,7 @@ void TraceRecorder::set_lane_name(std::size_t lane, std::string name) {
 void TraceRecorder::record(std::size_t lane, const char* name,
                            const char* category, Clock::time_point begin,
                            Clock::time_point end, std::uint64_t iteration,
-                           TraceArg a0, TraceArg a1, TraceArg a2) {
+                           TraceArg arg) {
   if (lane >= lanes_.size()) return;
   Lane& l = lanes_[lane];
   TraceEvent& e = l.ring[l.recorded % l.ring.size()];
@@ -72,9 +72,7 @@ void TraceRecorder::record(std::size_t lane, const char* name,
   const std::uint64_t end_ns = clamp_ns(end);
   e.dur_ns = end_ns > e.ts_ns ? end_ns - e.ts_ns : 0;
   e.iteration = iteration;
-  e.args[0] = a0;
-  e.args[1] = a1;
-  e.args[2] = a2;
+  e.arg = arg;
 }
 
 std::size_t TraceRecorder::size() const {
@@ -140,9 +138,7 @@ void TraceRecorder::write_chrome_trace(std::ostream& out) const {
       if (e.iteration != 0) {
         arg("iteration", static_cast<std::int64_t>(e.iteration));
       }
-      for (const TraceArg& a : e.args) {
-        if (a.name != nullptr) arg(a.name, a.value);
-      }
+      if (e.arg.name != nullptr) arg(e.arg.name, e.arg.value);
       out << "}}";
     }
   }

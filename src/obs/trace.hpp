@@ -32,12 +32,12 @@ struct TraceArg {
 
 struct TraceEvent {
   const char* name = nullptr;      ///< literal
-  const char* category = nullptr;  ///< literal: "pipeline" | "sim" | ...
+  const char* category = nullptr;  ///< literal, e.g. "pipeline"
   std::uint32_t lane = 0;
   std::uint64_t ts_ns = 0;   ///< begin, nanoseconds since recorder epoch
   std::uint64_t dur_ns = 0;
   std::uint64_t iteration = 0;  ///< campaign iteration; 0 = untagged
-  TraceArg args[3];
+  TraceArg arg;
 };
 
 class TraceRecorder {
@@ -57,8 +57,7 @@ class TraceRecorder {
   /// different lanes may record concurrently.
   void record(std::size_t lane, const char* name, const char* category,
               Clock::time_point begin, Clock::time_point end,
-              std::uint64_t iteration = 0, TraceArg a0 = {}, TraceArg a1 = {},
-              TraceArg a2 = {});
+              std::uint64_t iteration = 0, TraceArg arg = {});
 
   /// Events currently retained / dropped to ring overwrite, across lanes.
   std::size_t size() const;

@@ -26,10 +26,10 @@ struct DecodedInst {
 /// Decode one instruction word.
 DecodedInst decode(std::uint32_t word);
 
-/// A whole program decoded once, indexable by code-word index. One buffer
-/// is shared per worker between the detailed simulator, the fast tier and
-/// the ISS so a program is decoded at most once per run (build() keeps the
-/// vector's capacity across programs).
+/// A whole program decoded once, indexable by code-word index. The
+/// simulator and the ISS each keep one and rebuild it per run, so a
+/// program is decoded once per run (build() keeps the vector's capacity
+/// across programs).
 struct DecodedProgram {
   std::vector<DecodedInst> insts;
 

@@ -104,10 +104,6 @@ void write_fuzz_job(ByteWriter& w, const fuzz::FuzzJob& job) {
   w.u64(job.iteration);
   write_program(w, job.program);
   w.u64(job.rng_seed);
-  w.u8(job.has_parent ? 1 : 0);
-  write_program(w, job.parent);
-  w.u64(job.parent_hash);
-  w.u64(job.divergence);
 }
 
 fuzz::FuzzJob read_fuzz_job(ByteReader& r) {
@@ -115,10 +111,6 @@ fuzz::FuzzJob read_fuzz_job(ByteReader& r) {
   job.iteration = r.u64("in-flight job iteration");
   job.program = read_program(r, "in-flight job program");
   job.rng_seed = r.u64("in-flight job rng seed");
-  job.has_parent = r.u8("in-flight job has_parent") != 0;
-  job.parent = read_program(r, "in-flight job parent");
-  job.parent_hash = r.u64("in-flight job parent hash");
-  job.divergence = r.u64("in-flight job divergence");
   return job;
 }
 
@@ -425,11 +417,9 @@ const std::vector<std::string>& result_neutral_keys() {
   // Every key here is documented (and tested) to never change a
   // CampaignResult — only wall-clock behaviour and side-output paths.
   static const std::vector<std::string> keys = {
-      "jobs",          "pipeline",        "tier",
-      "checkpoint",    "checkpoint_cache_mb", "progress_interval",
-      "vcd_out",       "triage",          "triage_out",
-      "state_out",     "state_interval",  "metrics",
-      "trace_out"};
+      "jobs",    "pipeline",   "progress_interval", "vcd_out",
+      "triage",  "triage_out", "state_out",         "state_interval",
+      "metrics", "trace_out"};
   return keys;
 }
 

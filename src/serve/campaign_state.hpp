@@ -33,8 +33,9 @@
 namespace specure::serve {
 
 /// Bump on any payload layout change. Old files are refused with a
-/// version-skew message, never misparsed.
-constexpr std::uint32_t kStateFormatVersion = 1;
+/// version-skew message, never misparsed. Version 2 dropped the in-flight
+/// jobs' mutation-parent fields.
+constexpr std::uint32_t kStateFormatVersion = 2;
 
 struct CampaignState {
   core::CampaignSpec spec;          ///< the spec the campaign ran under
@@ -62,8 +63,8 @@ void save_state_file(const std::string& path, const core::CampaignSpec& spec,
 CampaignState load_state_file(const std::string& path);
 
 /// Build the spec a resumed campaign runs under: the stored spec with
-/// the *result-neutral* fields (jobs, pipeline, checkpoint knobs,
-/// intervals, output paths) adopted from `requested`. Any difference in
+/// the *result-neutral* fields (jobs, pipeline, intervals, output
+/// paths) adopted from `requested`. Any difference in
 /// a result-affecting field (seed, budgets, core config, fuzzer options,
 /// detectors, ...) throws StateError listing every mismatched key —
 /// resuming under a spec that changes the result would silently break

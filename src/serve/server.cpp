@@ -138,8 +138,8 @@ Server::Server(ServerOptions options)
 Server::~Server() {
   shutdown();
   if (runner_.joinable()) runner_.join();
-  for (std::thread& t : connections_) {
-    if (t.joinable()) t.join();
+  for (const auto& c : connections_) {
+    if (c->thread.joinable()) c->thread.join();
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
   ::unlink(options_.socket_path.c_str());
@@ -405,7 +405,16 @@ void Server::run() {
       std::lock_guard<std::mutex> lk(conn_mu_);
       open_fds_.push_back(fd);
     }
-    connections_.emplace_back([this, fd] { handle_connection(fd); });
+    // A finished handler keeps its stack mapped until joined, so reap
+    // before adding: a scrape-per-connection client stays bounded.
+    reap_connections();
+    auto conn = std::make_unique<Connection>();
+    Connection* c = conn.get();
+    c->thread = std::thread([this, fd, c] {
+      handle_connection(fd);
+      c->finished.store(true, std::memory_order_release);
+    });
+    connections_.push_back(std::move(conn));
   }
   if (runner_.joinable()) runner_.join();
   {
@@ -413,10 +422,18 @@ void Server::run() {
     std::lock_guard<std::mutex> lk(conn_mu_);
     for (const int fd : open_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  for (std::thread& t : connections_) {
-    if (t.joinable()) t.join();
+  for (const auto& c : connections_) {
+    if (c->thread.joinable()) c->thread.join();
   }
   connections_.clear();
+}
+
+void Server::reap_connections() {
+  std::erase_if(connections_, [](const std::unique_ptr<Connection>& c) {
+    if (!c->finished.load(std::memory_order_acquire)) return false;
+    c->thread.join();
+    return true;
+  });
 }
 
 void Server::shutdown() {

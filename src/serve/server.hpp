@@ -74,7 +74,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Serve until shutdown(): starts the runner thread and accepts
-  /// connections (one handler thread per connection).
+  /// connections (one handler thread per connection; each accept joins
+  /// the handlers that have finished).
   void run();
 
   /// Graceful stop, callable from any thread (and from run() itself via
@@ -110,6 +111,13 @@ class Server {
     std::chrono::steady_clock::time_point rate_stamp{};
   };
 
+  /// One connection handler thread. `finished` is set as the handler
+  /// returns, so the accept loop can join it without blocking.
+  struct Connection {
+    std::atomic<bool> finished{false};
+    std::thread thread;
+  };
+
   void recover();
   Tenant& create_tenant(const std::string& id, core::CampaignSpec spec);
   void attach_session(Tenant& tenant);
@@ -118,6 +126,8 @@ class Server {
   void fail_tenant(Tenant& tenant, const std::string& why);
   void runner_main();
   void handle_connection(int fd);
+  /// Join and drop the handlers that have finished (accept thread only).
+  void reap_connections();
   std::string handle_request(const std::string& frame, int fd, bool& streamed);
   void stream_events(int fd, const std::string& id, std::uint64_t from,
                      bool follow);
@@ -145,7 +155,7 @@ class Server {
 
   std::atomic<bool> shutdown_{false};
   std::thread runner_;
-  std::vector<std::thread> connections_;
+  std::vector<std::unique_ptr<Connection>> connections_;
   std::mutex conn_mu_;
   std::vector<int> open_fds_;  ///< live connection fds (closed on shutdown)
 };

@@ -87,23 +87,6 @@ std::uint64_t Dcache::data_digest(unsigned set, unsigned way) const {
   return lines_[set * cfg_.dcache_ways + way].digest;
 }
 
-void Dcache::save(DcacheState& out) const {
-  out.lines.resize(lines_.size());
-  for (std::size_t i = 0; i < lines_.size(); ++i) {
-    out.lines[i] = {lines_[i].valid, lines_[i].tag, lines_[i].digest};
-  }
-  out.lru = lru_;
-}
-
-void Dcache::restore(const DcacheState& state) {
-  lines_.resize(state.lines.size());
-  for (std::size_t i = 0; i < state.lines.size(); ++i) {
-    lines_[i] = {state.lines[i].valid, state.lines[i].tag,
-                 state.lines[i].digest};
-  }
-  lru_ = state.lru;
-}
-
 bool Dcache::line_resident(std::uint64_t addr) const {
   const std::uint64_t base = line_base(addr);
   const unsigned set = set_index(addr);

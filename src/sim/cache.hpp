@@ -21,18 +21,6 @@ namespace specure::sim {
 
 enum class DcacheEvent : std::uint8_t { kHit, kFill, kEviction, kWrite };
 
-/// Snapshotable cache state (part of sim::CoreState). The line-change
-/// hook is wiring, not state, and is never saved or restored.
-struct DcacheState {
-  struct Line {
-    bool valid = false;
-    std::uint64_t tag = 0;
-    std::uint64_t digest = 0;
-  };
-  std::vector<Line> lines;
-  std::vector<std::uint8_t> lru;
-};
-
 class Dcache {
  public:
   Dcache(const CoreConfig& cfg, Memory& mem);
@@ -76,10 +64,6 @@ class Dcache {
   std::uint64_t line_base(std::uint64_t addr) const;
   /// True if the line containing addr is currently resident.
   bool line_resident(std::uint64_t addr) const;
-
-  // Checkpointing.
-  void save(DcacheState& out) const;
-  void restore(const DcacheState& state);
 
  private:
   struct Line {

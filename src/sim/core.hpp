@@ -14,13 +14,6 @@
 // one Program per run() call on a fresh core, producing the per-cycle
 // snapshot trace, the commit log, and code coverage — everything the
 // Online Phase consumes.
-//
-// Beyond the cold path, a run can emit Checkpoints (full CoreState plus
-// the run-accumulator cursors at that cycle), and run_from() resumes a
-// *different* program from a checkpoint of its parent — bit-identical to
-// a cold run of that program whenever the mutation's first divergent
-// instruction index lies strictly beyond the checkpoint's fetch
-// watermark. This is the campaign's prefix-reuse fast path.
 #pragma once
 
 #include <cstdint>
@@ -32,10 +25,8 @@
 #include "sim/bpred.hpp"
 #include "sim/cache.hpp"
 #include "sim/config.hpp"
-#include "sim/core_state.hpp"
 #include "sim/coverage.hpp"
 #include "sim/csr_file.hpp"
-#include "sim/fast_tier.hpp"
 #include "sim/memory.hpp"
 #include "sim/rename.hpp"
 #include "sim/structure.hpp"
@@ -81,39 +72,6 @@ struct RunResult {
   void reset();
 };
 
-/// A resumable mid-run snapshot: the complete core state at the end of
-/// one cycle plus the run-accumulator cursors needed to seed the resumed
-/// RunResult. The trace and commit-log prefixes are *not* stored here —
-/// they are shared with the parent's RunResult and sliced on use
-/// (Trace::fork_at / the first `commit_count` commit records), so a set
-/// of checkpoints over one run costs one CoreState each, not one trace
-/// each.
-struct Checkpoint {
-  CoreState state;
-  std::uint64_t cycle = 0;
-  /// CoreState::fetch_watermark at save time; a mutant may resume here
-  /// iff its first divergent instruction index is > this.
-  std::uint64_t fetch_watermark = 0;
-  std::size_t commit_count = 0;  ///< prefix length into the parent commits
-  std::uint64_t instructions_committed = 0;
-  CoverageRecorder coverage;  ///< copied at save (not prefix-recoverable)
-
-  std::size_t memory_bytes() const;
-};
-
-/// Cadence of checkpoint emission during a parent run. Within one
-/// fetch-watermark plateau (e.g. a loop spinning below the watermark)
-/// only the latest checkpoint is kept; past `max_checkpoints` distinct
-/// plateaus, the densest-spaced stored point is thinned so deep, late
-/// resume points are still retained under the same bound.
-struct CheckpointOptions {
-  /// Steady-state cycles between save attempts; the first attempts come
-  /// geometrically (8, 16, 32, ...) so early low-watermark states are
-  /// not skipped.
-  std::uint64_t interval = 64;
-  std::size_t max_checkpoints = 32;
-};
-
 class Simulator {
  public:
   explicit Simulator(CoreConfig cfg);
@@ -125,69 +83,6 @@ class Simulator {
   /// refilled. `out` must have been constructed against a SignalDb with
   /// this simulator's schema.
   void run(const riscv::Program& program, RunResult& out) const;
-
-  /// Cold run that additionally emits resume checkpoints at the given
-  /// cadence into `checkpoints` (cleared first). Unsupported (throws)
-  /// when record_dense_trace is set.
-  void run(const riscv::Program& program, const CheckpointOptions& options,
-           std::vector<Checkpoint>& checkpoints, RunResult& out) const;
-
-  /// Resume `program` from a checkpoint taken during a run of its parent
-  /// program. `parent_trace` / `parent_commits` are the parent run's full
-  /// trace and commit log; their prefixes up to the checkpoint seed
-  /// `out`. The caller must have established validity: identical data
-  /// images and first divergent code index > checkpoint.fetch_watermark
-  /// (see fuzz::first_divergence). The result is then bit-identical to a
-  /// cold run of `program`.
-  void run_from(const Checkpoint& checkpoint,
-                const snapshot::Trace& parent_trace,
-                const std::vector<CommitRecord>& parent_commits,
-                const riscv::Program& program, RunResult& out) const;
-
-  /// Decode `program` into this simulator's scratch buffer and return it
-  /// — pass the result back to run_tiered as `predecoded` so a program
-  /// is decoded once per worker iteration (handoff scan + simulation).
-  /// The reference is invalidated by the next decode()/run*() call.
-  const riscv::DecodedProgram& decode(const riscv::Program& program) const;
-
-  /// Tiered cold run: the fast-functional tier executes the prefix up to
-  /// `handoff_index` (the first instruction that can arm speculation —
-  /// see fuzz::handoff_index — defensively re-clamped here), then the
-  /// detailed pipeline continues on the same core state. Bit-identical
-  /// trace, commits, coverage and end state to run(). Index 0 degrades
-  /// to a pure detailed run; an index at or past the code length runs
-  /// entirely in the fast tier. `predecoded`, when given, must be this
-  /// simulator's decode() result for `program`. Falls back to the
-  /// detailed path (counted in stats->fallbacks) under
-  /// record_dense_trace, which the fast tier does not support.
-  /// `phases`, when given, receives the run's fast/detailed wall-clock
-  /// boundaries (observability span hook; nullptr costs nothing).
-  void run_tiered(const riscv::Program& program, std::size_t handoff_index,
-                  RunResult& out, TierStats* stats = nullptr,
-                  const riscv::DecodedProgram* predecoded = nullptr,
-                  TierPhaseTimes* phases = nullptr) const;
-
-  /// Tiered cold run that additionally emits resume checkpoints (all at
-  /// or past the handoff boundary: the fast tier substitutes for shallow
-  /// resumes, so no prefix checkpoints are saved). Throws under
-  /// record_dense_trace, like the checkpointed run().
-  void run_tiered(const riscv::Program& program, std::size_t handoff_index,
-                  const CheckpointOptions& options,
-                  std::vector<Checkpoint>& checkpoints, RunResult& out,
-                  TierStats* stats = nullptr,
-                  const riscv::DecodedProgram* predecoded = nullptr,
-                  TierPhaseTimes* phases = nullptr) const;
-
-  /// Fast prefix only (test / introspection surface): execute up to the
-  /// handoff boundary and materialize it into `boundary` — a Checkpoint
-  /// exactly like the detailed run's push_checkpoint would save, which
-  /// run_from(boundary, out.trace, out.commits, program, ...) resumes.
-  /// On kCompleted `out` is the full run; on kNone (handoff at index 0)
-  /// nothing was executed.
-  FastPrefixOutcome run_fast_prefix(const riscv::Program& program,
-                                    std::size_t handoff_index, RunResult& out,
-                                    Checkpoint& boundary,
-                                    TierStats* stats = nullptr) const;
 
   const snapshot::SignalDb& signal_db() const { return db_; }
   const CoreConfig& config() const { return cfg_; }

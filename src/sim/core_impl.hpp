@@ -1,7 +1,5 @@
-// The core's per-run execution engine, shared by core.cpp (detailed
-// pipeline, checkpointing) and fast_tier.cpp (fast-functional prefix
-// tier). Not part of the public API — include sim/core.hpp and drive a
-// Simulator instead.
+// The core's per-run execution engine behind Simulator::run. Not part of
+// the public API — include sim/core.hpp and drive a Simulator instead.
 #pragma once
 
 #include <algorithm>
@@ -10,7 +8,6 @@
 
 #include "sim/core.hpp"
 #include "sim/dirty_set.hpp"
-#include "sim/fast_tier.hpp"
 #include "util/bits.hpp"
 
 namespace specure::sim::detail {
@@ -90,9 +87,45 @@ inline std::uint64_t extend_load(Op op, std::uint64_t raw) {
   }
 }
 
-/// One core executing one program (cold, resumed from a Checkpoint, or
-/// tiered: fast prefix + detailed remainder on the same state). Lives for
-/// the duration of a Simulator::run / run_from / run_tiered call.
+/// One reorder-buffer slot.
+struct RobEntry {
+  bool valid = false;
+  std::uint64_t seq = 0;  ///< monotonically increasing issue order
+  std::uint64_t pc = 0;
+  riscv::DecodedInst dec;
+  bool done = false;
+  bool squashed = false;
+  std::uint64_t ready_cycle = 0;
+
+  bool writes_rd = false;
+  PhysReg new_phys = 0;
+  PhysReg old_phys = 0;
+  std::uint64_t result = 0;
+  bool result_tainted = false;
+
+  bool is_ctrl = false;       ///< conditional branch or JALR
+  bool unsafe = false;        ///< unresolved speculative window opener
+  bool resolved = false;
+  bool mispredicted = false;
+  bool pred_taken = false;
+  std::uint64_t pred_next = 0;
+  bool actual_taken = false;
+  std::uint64_t actual_next = 0;
+
+  bool is_store = false;
+  std::uint64_t mem_addr = 0;
+  std::uint64_t store_value = 0;
+  unsigned mem_size = 0;
+
+  bool writes_csr = false;
+  std::uint16_t csr_addr = 0;
+  std::uint64_t csr_wval = 0;
+
+  bool is_halt = false;  ///< ECALL/EBREAK
+};
+
+/// One core executing one program on a cold state. Lives for the duration
+/// of a Simulator::run call.
 class Core {
  public:
   Core(const CoreConfig& cfg, const std::vector<SigDesc>& descs,
@@ -137,130 +170,23 @@ class Core {
     tlb_.bind_dirty(&dirty_, layout_.tlb);
   }
 
-  /// Cold run, optionally emitting resume checkpoints.
-  void run(const riscv::Program& program, RunResult& res,
-           const CheckpointOptions* ck, std::vector<Checkpoint>* out,
-           const riscv::DecodedProgram* predecoded = nullptr) {
+  /// Cold run of `program` into `res` (reset first).
+  void run(const riscv::Program& program, RunResult& res) {
     res.reset();
     if (cfg_.record_dense_trace) {
       res.dense_trace = std::make_unique<snapshot::DenseTrace>(&db_);
     }
     mem_.load(program);
-    set_decode(program, predecoded);
+    decode_buf_.build(program.code);
     fetch_pc_ = riscv::kCodeBase;
-    loop(res, ck, out);
-    finish(res);
-  }
-
-  /// Tiered cold run: execute the prefix up to `handoff_index` in the
-  /// fast tier, then continue the detailed pipeline on the same state —
-  /// bit-identical to run(). Index 0 falls back to a pure detailed run;
-  /// an index at or past the code length means the whole run (including
-  /// the end-of-program trap) stays in the fast tier. The caller decides
-  /// the handoff policy (fuzz::handoff_index); the index is defensively
-  /// re-clamped here to the first op the fast tier cannot execute.
-  void run_tiered(const riscv::Program& program, std::size_t handoff_index,
-                  RunResult& res, const CheckpointOptions* ck,
-                  std::vector<Checkpoint>* out, TierStats* stats,
-                  const riscv::DecodedProgram* predecoded = nullptr,
-                  TierPhaseTimes* phases = nullptr) {
-    res.reset();
-    mem_.load(program);
-    set_decode(program, predecoded);
-    fetch_pc_ = riscv::kCodeBase;
-    const std::size_t idx =
-        std::min(handoff_index, fast_handoff_scan(*decoded_, false));
-    if (phases != nullptr) phases->handoff_index = idx;
-    if (idx == 0) {
-      if (stats != nullptr) ++stats->fallbacks;
-      loop(res, ck, out);
-      finish(res);
-      return;
-    }
-    if (stats != nullptr) ++stats->fast_runs;
-    if (phases != nullptr) {
-      phases->entered_fast = true;
-      phases->fast_begin = std::chrono::steady_clock::now();
-    }
-    const std::uint64_t fast_from = cycle_;
-    const FastExit exit = fast_loop(handoff_pc_of(idx), res);
-    if (stats != nullptr) stats->fast_cycles += cycle_ - fast_from;
-    if (phases != nullptr) phases->fast_end = std::chrono::steady_clock::now();
-    if (exit == FastExit::kHandoff) {
-      if (stats != nullptr) ++stats->handoffs;
-      // The detailed loop continues on this very core state — the
-      // handoff is zero-copy; no checkpoint materialization needed.
-      loop(res, ck, out);
-      if (phases != nullptr) {
-        phases->continued_detailed = true;
-        phases->detailed_end = std::chrono::steady_clock::now();
-      }
-    } else if (stats != nullptr) {
-      ++stats->fast_completions;
-    }
-    finish(res);
-  }
-
-  /// Fast prefix only: stop at the handoff boundary and materialize it as
-  /// a Checkpoint exactly like push_checkpoint would — the proof surface
-  /// that the boundary is a CoreState-compatible snapshot the detailed
-  /// run_from path can resume (tests drive run_from(boundary, ...)).
-  FastPrefixOutcome run_fast_prefix(const riscv::Program& program,
-                                    std::size_t handoff_index, RunResult& res,
-                                    Checkpoint& boundary, TierStats* stats) {
-    res.reset();
-    mem_.load(program);
-    set_decode(program, nullptr);
-    fetch_pc_ = riscv::kCodeBase;
-    const std::size_t idx =
-        std::min(handoff_index, fast_handoff_scan(*decoded_, false));
-    if (idx == 0) return FastPrefixOutcome::kNone;
-    if (stats != nullptr) ++stats->fast_runs;
-    const std::uint64_t fast_from = cycle_;
-    const FastExit exit = fast_loop(handoff_pc_of(idx), res);
-    if (stats != nullptr) stats->fast_cycles += cycle_ - fast_from;
-    if (exit == FastExit::kDone) {
-      if (stats != nullptr) ++stats->fast_completions;
-      finish(res);
-      return FastPrefixOutcome::kCompleted;
-    }
-    if (stats != nullptr) ++stats->handoffs;
-    save_state(boundary.state);
-    boundary.cycle = cycle_;
-    boundary.fetch_watermark = fetch_watermark_;
-    boundary.commit_count = res.commits.size();
-    boundary.instructions_committed = res.instructions_committed;
-    boundary.coverage = res.coverage;
+    loop(res);
     res.cycles = cycle_;
-    return FastPrefixOutcome::kHandoff;
-  }
-
-  /// Resume `program` from a checkpoint of its parent. The caller
-  /// (Simulator::run_from) has already seeded `res` with the prefix
-  /// trace, commits, coverage and instruction count.
-  void resume(const Checkpoint& cp, const riscv::Program& program,
-              RunResult& res) {
-    restore_state(cp.state);
-    // The restored memory is the parent's image at the checkpoint cycle;
-    // only the code differs between parent and child below the fetch
-    // watermark contract, so patching the code image suffices.
-    mem_.set_code(program.code);
-    set_decode(program, nullptr);
-    loop(res, nullptr, nullptr);
-    finish(res);
+    res.halted_clean = halted_ || (rob_count_ == 0 && fetch_done());
+    res.final_data = mem_.data_image();
   }
 
  private:
-  void loop(RunResult& res, const CheckpointOptions* ck,
-            std::vector<Checkpoint>* out) {
-    // Checkpoint cadence: geometric at first (the fetch watermark races
-    // through the program in the earliest cycles, so late saves there
-    // would skip the low-watermark states mutants actually resume from),
-    // then steady every `interval` cycles. A tiered run enters here at
-    // the handoff cycle, so the geometric ramp restarts at the boundary.
-    std::uint64_t gap =
-        ck != nullptr ? std::min<std::uint64_t>(8, ck->interval) : 0;
-    std::uint64_t next_save = cycle_ + gap;
+  void loop(RunResult& res) {
     while (!halted_ && cycle_ < cfg_.max_cycles) {
       ++cycle_;
       begin_cycle();
@@ -269,24 +195,8 @@ class Core {
       issue(res);
       csr_.tick();
       capture(res);
-      // The end-of-run probe below observes the code image via
-      // fetch_word(), so a checkpoint saved after it has the probe's
-      // index folded into its watermark — resume re-evaluates the probe
-      // on the child's image and cannot diverge.
       if (rob_count_ == 0 && fetch_done()) break;
-      if (ck != nullptr && cycle_ >= next_save) {
-        if (!halted_) push_checkpoint(*ck, *out, res);
-        gap = std::min(gap * 2, ck->interval);
-        next_save = cycle_ + gap;
-      }
     }
-  }
-
-  /// Shared run epilogue (loop exit or fast-tier completion).
-  void finish(RunResult& res) {
-    res.cycles = cycle_;
-    res.halted_clean = halted_ || (rob_count_ == 0 && fetch_done());
-    res.final_data = mem_.data_image();
   }
 
   // ------------------------------------------------------------ helpers --
@@ -295,159 +205,24 @@ class Core {
   }
   bool rob_full() const { return rob_count_ == rob_.size(); }
 
-  /// Every instruction-memory observation funnels through here so the
-  /// fetch watermark (max code word index the run has depended on) stays
-  /// exact — it is what bounds checkpoint reuse for mutated programs.
-  /// The index is clamped to the image length: a beyond-image fetch
-  /// (wrong-path jump to garbage) observes only (word = 0, index >=
-  /// length), which fuzz::first_divergence already accounts for by
-  /// capping the divergence at the shorter length when lengths differ —
-  /// so such probes must not disqualify in-image prefix reuse.
-  std::uint32_t fetch_word(std::uint64_t pc) {
-    if (pc >= riscv::kCodeBase) {
-      const std::uint64_t index = std::min<std::uint64_t>(
-          (pc - riscv::kCodeBase) / 4, mem_.code_words());
-      if (index > fetch_watermark_) fetch_watermark_ = index;
-    }
-    return mem_.fetch(pc);
-  }
-
-  bool fetch_done() {
-    return fetch_word(fetch_pc_) == 0 && fetch_pc_ >= riscv::kCodeBase &&
+  bool fetch_done() const {
+    return mem_.fetch(fetch_pc_) == 0 && fetch_pc_ >= riscv::kCodeBase &&
            (fetch_pc_ - riscv::kCodeBase) / 4 >= mem_.code_words();
   }
 
   // --------------------------------------------------------- decode cache --
-  /// Point the fetch path at a per-program DecodedInst array: the
-  /// caller's predecoded program when provided (decoded once per worker),
-  /// else the simulator's scratch buffer, rebuilt for this program. The
-  /// fetch path then reads DecodedInsts by index instead of re-decoding
-  /// the same word every cycle (stalled issues re-enter issue() each
-  /// cycle).
-  void set_decode(const riscv::Program& program,
-                  const riscv::DecodedProgram* predecoded) {
-    if (predecoded != nullptr) {
-      decoded_ = &predecoded->insts;
-      return;
-    }
-    decode_buf_.build(program.code);
-    decoded_ = &decode_buf_.insts;
-  }
-
+  /// The fetch path reads this run's DecodedInsts (built in run()) by
+  /// index instead of re-decoding the same word every cycle (stalled
+  /// issues re-enter issue() each cycle).
   const DecodedInst& decode_at(std::uint64_t pc, std::uint32_t word) {
     if (pc >= riscv::kCodeBase && (pc & 3) == 0) {
       const std::uint64_t index = (pc - riscv::kCodeBase) / 4;
-      if (index < decoded_->size()) return (*decoded_)[index];
+      if (index < decode_buf_.insts.size()) return decode_buf_.insts[index];
     }
     // Off-image or misaligned fetch: `word` is 0 there (Memory::fetch),
     // identical to the pre-cache decode(0) path.
     scratch_dec_ = riscv::decode(word);
     return scratch_dec_;
-  }
-
-  /// PC of the handoff instruction; 0 (never fetched) when the index is
-  /// at or past the code length, so the fast tier runs the end-of-program
-  /// trap itself instead of handing off at the fall-off PC.
-  std::uint64_t handoff_pc_of(std::size_t idx) const {
-    if (idx >= decoded_->size()) return 0;
-    return riscv::kCodeBase + 4 * static_cast<std::uint64_t>(idx);
-  }
-
-  // --------------------------------------------------------- checkpoints --
-  void save_state(CoreState& s) const {
-    mem_.save(s.mem);
-    bp_.save(s.bp);
-    csr_.save(s.csr);
-    rename_.save(s.rename);
-    tlb_.save(s.tlb);
-    dcache_.save(s.dcache);
-    s.rob = rob_;
-    s.rob_head = rob_head_;
-    s.rob_tail = rob_tail_;
-    s.rob_count = rob_count_;
-    s.seq = seq_;
-    s.prf_ready = prf_ready_;
-    s.prf_taint = prf_taint_;
-    s.fetch_pc = fetch_pc_;
-    s.cycle = cycle_;
-    s.halted = halted_;
-    s.fetch_stalled = fetch_stalled_;
-    s.fetch_watermark = fetch_watermark_;
-    s.brupdate_valid = brupdate_valid_;
-    s.brupdate_mispredict = brupdate_mispredict_;
-    s.commit_valid = commit_valid_;
-    s.commit_pc = commit_pc_;
-    s.commit_inst = commit_inst_;
-    s.commit_rd = commit_rd_;
-    s.tainted_access = tainted_access_;
-    s.exec_result = exec_result_;
-    s.lsu_addr = lsu_addr_;
-    s.lsu_load_data = lsu_load_data_;
-  }
-
-  void restore_state(const CoreState& s) {
-    mem_.restore(s.mem);
-    bp_.restore(s.bp);
-    csr_.restore(s.csr);
-    rename_.restore(s.rename);
-    tlb_.restore(s.tlb);
-    dcache_.restore(s.dcache);
-    rob_ = s.rob;
-    rob_head_ = s.rob_head;
-    rob_tail_ = s.rob_tail;
-    rob_count_ = s.rob_count;
-    seq_ = s.seq;
-    prf_ready_ = s.prf_ready;
-    prf_taint_ = s.prf_taint;
-    fetch_pc_ = s.fetch_pc;
-    cycle_ = s.cycle;
-    halted_ = s.halted;
-    fetch_stalled_ = s.fetch_stalled;
-    fetch_watermark_ = s.fetch_watermark;
-    brupdate_valid_ = s.brupdate_valid;
-    brupdate_mispredict_ = s.brupdate_mispredict;
-    commit_valid_ = s.commit_valid;
-    commit_pc_ = s.commit_pc;
-    commit_inst_ = s.commit_inst;
-    commit_rd_ = s.commit_rd;
-    tainted_access_ = s.tainted_access;
-    exec_result_ = s.exec_result;
-    lsu_addr_ = s.lsu_addr;
-    lsu_load_data_ = s.lsu_load_data;
-    unsafe_count_ = count_unsafe();
-  }
-
-  void push_checkpoint(const CheckpointOptions& opt,
-                       std::vector<Checkpoint>& out, const RunResult& res) {
-    Checkpoint cp;
-    save_state(cp.state);
-    cp.cycle = cycle_;
-    cp.fetch_watermark = fetch_watermark_;
-    cp.commit_count = res.commits.size();
-    cp.instructions_committed = res.instructions_committed;
-    cp.coverage = res.coverage;
-    if (!out.empty() && out.back().fetch_watermark == fetch_watermark_) {
-      // Same watermark plateau (e.g. a loop spinning below it): a later
-      // cycle strictly dominates, so overwrite instead of accumulating.
-      out.back() = std::move(cp);
-      return;
-    }
-    if (out.size() >= opt.max_checkpoints) {
-      // At capacity on a new plateau: thin the densest region (smallest
-      // cycle gap to its predecessor) instead of dropping the new, deep
-      // point — late resume points are the ones that skip the most work.
-      std::size_t victim = 1;
-      std::uint64_t best_gap = ~std::uint64_t{0};
-      for (std::size_t i = 1; i < out.size(); ++i) {
-        const std::uint64_t gap = out[i].cycle - out[i - 1].cycle;
-        if (gap < best_gap) {
-          best_gap = gap;
-          victim = i;
-        }
-      }
-      out.erase(out.begin() + static_cast<std::ptrdiff_t>(victim));
-    }
-    out.push_back(std::move(cp));
   }
 
   bool store_overlap(std::uint64_t addr, unsigned size) const {
@@ -462,18 +237,10 @@ class Core {
 
   /// O(1) open-window test: unsafe_count_ counts ROB entries with
   /// (valid && unsafe && !resolved && !squashed) — incremented at
-  /// branch/JALR issue, decremented on resolve and on squash-release,
-  /// recomputed on restore. It gates the per-cycle oldest_unsafe() scan,
+  /// branch/JALR issue, decremented on resolve and on squash-release. It
+  /// gates the per-cycle oldest_unsafe() scan,
   /// which otherwise ran O(rob) even with no window open.
   bool any_unsafe() const { return unsafe_count_ != 0; }
-
-  unsigned count_unsafe() const {
-    unsigned n = 0;
-    for (const auto& e : rob_) {
-      if (e.valid && e.unsafe && !e.resolved && !e.squashed) ++n;
-    }
-    return n;
-  }
 
   const RobEntry* oldest_unsafe() const {
     const RobEntry* best = nullptr;
@@ -636,7 +403,7 @@ class Core {
 
   void issue(RunResult& res) {
     if (halted_ || rob_full() || fetch_stalled_) return;
-    const std::uint32_t word = fetch_word(fetch_pc_);
+    const std::uint32_t word = mem_.fetch(fetch_pc_);
     const DecodedInst& dec = decode_at(fetch_pc_, word);
     res.coverage.branch("decode.valid", dec.valid());
 
@@ -915,8 +682,7 @@ class Core {
   }
 
   // ----------------------------------------------------------- snapshot --
-  /// Per-cycle trace capture, shared by the detailed loop and the fast
-  /// tier. Delta-native recording: each recorded signal is compared
+  /// Per-cycle trace capture. Delta-native recording: each recorded signal is compared
   /// against the trace's live previous-value array and stored only as a
   /// (cycle, signal, value) change event; toggle coverage falls out of
   /// the same comparison.
@@ -928,10 +694,7 @@ class Core {
   /// no event, so the stream is byte-identical to a full sweep as long as
   /// every signal that DID change is marked (the component author's
   /// obligation, see ARCHITECTURE.md). The first captured tick seeds the
-  /// live array with a full sweep; a checkpoint-resumed run needs no such
-  /// reseed because fork_into reconstructed the live array to exactly the
-  /// restored CoreState's values, and the resumed cycle's own marks cover
-  /// everything it mutates from there.
+  /// live array with a full sweep.
   void capture(RunResult& res) {
     const bool first = res.trace.empty();
     res.trace.begin_cycle(cycle_);
@@ -1022,35 +785,6 @@ class Core {
     return static_cast<unsigned>(&e - rob_.data());
   }
 
-  // ----------------------------------------------------------- fast tier --
-  // Defined in fast_tier.cpp. The fast tier runs the same per-cycle stage
-  // order as loop() over the same state — including the shared dirty-set
-  // capture() — restricted to straight-line ALU/load/store/trap code in
-  // which no ROB entry can become unsafe, which is what lets it skip the
-  // squash/resolve logic and the execute-stage sort.
-  enum class FastExit { kHandoff, kDone };
-
-  /// Function-pointer dispatch: one issue handler per opcode.
-  using FastIssueFn = void (*)(Core&, RobEntry&, std::uint64_t, std::uint64_t,
-                               RunResult&);
-
-  FastExit fast_loop(std::uint64_t handoff_pc, RunResult& res);
-  void fast_retire(RunResult& res);
-  void fast_commit(RobEntry& e, RunResult& res);
-  void fast_execute();
-  void fast_issue(RunResult& res);
-  static void fast_issue_alu(Core& c, RobEntry& e, std::uint64_t a,
-                             std::uint64_t b);
-  static void fx_alu_rr(Core& c, RobEntry& e, std::uint64_t v1,
-                        std::uint64_t v2, RunResult& res);
-  static void fx_alu_ri(Core& c, RobEntry& e, std::uint64_t v1,
-                        std::uint64_t v2, RunResult& res);
-  static void fx_load(Core& c, RobEntry& e, std::uint64_t v1,
-                      std::uint64_t v2, RunResult& res);
-  static void fx_store(Core& c, RobEntry& e, std::uint64_t v1,
-                       std::uint64_t v2, RunResult& res);
-  static const FastIssueFn* fast_dispatch();
-
   const CoreConfig& cfg_;
   const std::vector<SigDesc>& descs_;
   const SignalLayout& layout_;
@@ -1077,10 +811,8 @@ class Core {
   std::uint64_t cycle_ = 0;
   bool halted_ = false;
   bool fetch_stalled_ = false;  ///< pending trap (ECALL/EBREAK/illegal)
-  std::uint64_t fetch_watermark_ = 0;
 
   riscv::DecodedProgram& decode_buf_;  ///< simulator-owned scratch buffer
-  const std::vector<DecodedInst>* decoded_ = nullptr;  ///< active decode
   DecodedInst scratch_dec_;            ///< off-image decode_at() result
 
   /// The capture engine's change list: components mark into it as they

@@ -23,15 +23,6 @@ std::size_t CoverageRecorder::merge(const CoverageRecorder& other) {
   return fresh;
 }
 
-std::size_t CoverageRecorder::memory_bytes() const {
-  std::size_t bytes = sizeof(CoverageRecorder);
-  for (const auto& p : points_) {
-    // Node + hash-bucket overhead is a rough 32 bytes per entry.
-    bytes += p.capacity() + 32;
-  }
-  return bytes;
-}
-
 void CoverageRecorder::clear() {
   points_.clear();
   toggle_bits_ = 0;

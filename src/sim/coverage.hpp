@@ -38,9 +38,6 @@ class CoverageRecorder {
 
   std::size_t point_count() const { return points_.size(); }
 
-  /// Approximate heap footprint (checkpoint-cache budgeting).
-  std::size_t memory_bytes() const;
-
   /// Merge another run's points into this accumulator. Returns the number
   /// of *new* points contributed (the fuzzer's "is this input interesting"
   /// signal).

@@ -81,11 +81,6 @@ IssResult Iss::run(const riscv::Program& program,
 void Iss::run(const riscv::Program& program, IssResult& out,
               std::uint64_t max_instructions) {
   decode_.build(program.code);
-  run(program, decode_, out, max_instructions);
-}
-
-void Iss::run(const riscv::Program& program, const riscv::DecodedProgram& dec,
-              IssResult& out, std::uint64_t max_instructions) {
   IssResult& res = out;
   res.regs.fill(0);
   res.pc = 0;
@@ -103,7 +98,7 @@ void Iss::run(const riscv::Program& program, const riscv::DecodedProgram& dec,
   const auto decode_at = [&](std::uint64_t at) -> DecodedInst {
     if (at >= riscv::kCodeBase && (at & 3) == 0) {
       const std::uint64_t index = (at - riscv::kCodeBase) / 4;
-      if (index < dec.insts.size()) return dec.insts[index];
+      if (index < decode_.insts.size()) return decode_.insts[index];
     }
     return riscv::decode(mem_.fetch(at));
   };

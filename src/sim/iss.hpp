@@ -44,12 +44,6 @@ class Iss {
   void run(const riscv::Program& program, IssResult& out,
            std::uint64_t max_instructions = 100000);
 
-  /// Same, executing over a caller-provided decode of `program` (e.g.
-  /// Simulator::decode's buffer), so differential harnesses decode each
-  /// program exactly once across both executors.
-  void run(const riscv::Program& program, const riscv::DecodedProgram& dec,
-           IssResult& out, std::uint64_t max_instructions = 100000);
-
   const CsrFile& csr() const { return csr_; }
   const Memory& memory() const { return mem_; }
 

@@ -14,16 +14,6 @@ void Memory::load(const riscv::Program& program) {
   }
 }
 
-void Memory::save(MemoryState& out) const {
-  out.code = code_;
-  out.data = data_;
-}
-
-void Memory::restore(const MemoryState& state) {
-  code_ = state.code;
-  data_ = state.data;
-}
-
 std::uint32_t Memory::fetch(std::uint64_t pc) const {
   if (pc < kCodeBase || (pc & 3) != 0) return 0;
   const std::uint64_t index = (pc - kCodeBase) / 4;

@@ -20,16 +20,6 @@ namespace specure::sim {
 
 using PhysReg = std::uint16_t;
 
-/// Snapshotable rename state (part of sim::CoreState). Includes the
-/// per-branch map-table checkpoints so a restored core can still roll
-/// back branches that were in flight when the snapshot was taken.
-struct RenameState {
-  std::array<PhysReg, 32> maptable{};
-  std::vector<PhysReg> freelist;
-  std::vector<std::uint64_t> prf;
-  std::map<unsigned, std::array<PhysReg, 32>> checkpoints;
-};
-
 class RenameStage {
  public:
   explicit RenameStage(const CoreConfig& cfg);
@@ -102,15 +92,11 @@ class RenameStage {
   std::size_t free_count() const { return freelist_.size(); }
   unsigned phys_count() const { return cfg_.phys_regs; }
 
-  // Checkpointing.
-  void save(RenameState& out) const;
-  void restore(const RenameState& state);
-
  private:
   static constexpr std::uint8_t kUnmapped = 0xff;
 
   /// Rebuild the phys->arch reverse map from the map table (after a
-  /// rollback restore or a state restore).
+  /// rollback restore).
   void rebuild_rev();
 
   const CoreConfig& cfg_;

@@ -24,18 +24,4 @@ bool Tlb::translate(std::uint64_t va, std::uint64_t& pa) {
   return false;
 }
 
-void Tlb::save(TlbState& out) const {
-  out.valid = valid_;
-  out.vpn = vpn_;
-  out.ppn = ppn_;
-  out.next_victim = next_victim_;
-}
-
-void Tlb::restore(const TlbState& state) {
-  valid_ = state.valid;
-  vpn_ = state.vpn;
-  ppn_ = state.ppn;
-  next_victim_ = state.next_victim;
-}
-
 }  // namespace specure::sim

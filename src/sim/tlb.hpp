@@ -13,14 +13,6 @@
 
 namespace specure::sim {
 
-/// Snapshotable TLB state (part of sim::CoreState).
-struct TlbState {
-  std::vector<char> valid;
-  std::vector<std::uint64_t> vpn;
-  std::vector<std::uint64_t> ppn;
-  unsigned next_victim = 0;
-};
-
 class Tlb {
  public:
   explicit Tlb(const CoreConfig& cfg);
@@ -41,10 +33,6 @@ class Tlb {
   std::uint64_t vpn(unsigned i) const { return vpn_[i]; }
   std::uint64_t ppn(unsigned i) const { return ppn_[i]; }
   unsigned entries() const { return static_cast<unsigned>(vpn_.size()); }
-
-  // Checkpointing.
-  void save(TlbState& out) const;
-  void restore(const TlbState& state);
 
  private:
   const CoreConfig& cfg_;

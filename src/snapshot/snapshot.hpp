@@ -79,8 +79,8 @@ class Trace {
   /// ascending order within a tick.
   unsigned record(SignalId id, std::uint64_t value);
 
-  /// Bulk dirty-set recorder — THE dirty-word scan loop, shared by the
-  /// detailed core and the fast tier. Walks the set bits of `dirty_words`
+  /// Bulk dirty-set recorder — the simulator's per-cycle capture loop.
+  /// Walks the set bits of `dirty_words`
   /// (one bit per signal id, ascending — which satisfies record()'s
   /// ordering contract), evaluates each via `value_fn(id)`, and records
   /// it for the open tick. Signals whose bit is clear are untouched: the
@@ -112,21 +112,6 @@ class Trace {
   /// a worker can reuse one Trace across runs without reallocating the
   /// event columns each iteration.
   void reset();
-
-  // ---- forking (checkpoint resume) ---------------------------------------
-  /// A trace holding exactly the ticks up to and including `cycle`, laid
-  /// out byte-identically to what recording only those ticks would have
-  /// produced (same events, same keyframe grid, same live array), and
-  /// ready to continue recording from the next cycle. This is how a
-  /// checkpoint-resumed run inherits its parent's event prefix. Throws
-  /// std::runtime_error naming the covered range when `cycle` was never
-  /// recorded (fork at cycle 0 or past end-of-trace).
-  Trace fork_at(std::uint64_t cycle) const;
-
-  /// Buffer-reusing fork: like fork_at, but fills `out` in place
-  /// (reusing its column capacity). `out` is re-bound to this trace's
-  /// SignalDb.
-  void fork_into(std::uint64_t cycle, Trace& out) const;
 
   // ---- shape ------------------------------------------------------------
   std::size_t size() const { return cycles_.size(); }

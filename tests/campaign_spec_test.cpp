@@ -4,8 +4,11 @@
 // bit-identical campaign result at a fixed seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/campaign_spec.hpp"
 #include "core/session.hpp"
@@ -87,6 +90,32 @@ TEST(CampaignSpecOverrides, UnknownKeySuggestsClosest) {
       error_of([&] { spec.set("rob_entrees", "4"); });
   EXPECT_NE(msg.find("unknown spec key"), std::string::npos) << msg;
   EXPECT_NE(msg.find("rob_entries"), std::string::npos) << msg;
+}
+
+TEST(CampaignSpecOverrides, RemovedKeysAreRejected) {
+  // tier, checkpoint and checkpoint_cache_mb selected prefix-reuse paths
+  // that no longer exist: a spec naming them fails, never passes silently.
+  CampaignSpec spec;
+  const std::vector<std::pair<std::string, std::string>> removed = {
+      {"tier", "fast"}, {"checkpoint", "off"}, {"checkpoint_cache_mb", "8"}};
+  for (const auto& [key, value] : removed) {
+    const std::string msg = error_of([&] { spec.set(key, value); });
+    EXPECT_NE(msg.find("unknown spec key '" + key + "'"), std::string::npos)
+        << msg;
+  }
+  const std::string msg = error_of([] {
+    CampaignSpec::from_toml_string("[campaign]\ncheckpoint = true\n");
+  });
+  EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("'checkpoint'"), std::string::npos) << msg;
+  // Neither the key list (`specure presets --keys`) nor to_toml() names
+  // them.
+  const std::vector<std::string> keys = CampaignSpec::keys();
+  const std::string toml = CampaignSpec{}.to_toml();
+  for (const auto& [key, value] : removed) {
+    EXPECT_EQ(std::find(keys.begin(), keys.end(), key), keys.end()) << key;
+    EXPECT_EQ(toml.find("\n" + key + " ="), std::string::npos) << key;
+  }
 }
 
 TEST(CampaignSpecOverrides, BadValuesNameTheKeyAndExpectedForm) {

@@ -5,8 +5,9 @@
 // no-speculation control configuration.
 #include <gtest/gtest.h>
 
+#include "core/campaign_spec.hpp"
 #include "core/offline.hpp"
-#include "core/specure.hpp"
+#include "core/session.hpp"
 #include "fuzz/seeds.hpp"
 #include "riscv/program.hpp"
 #include "sim/core.hpp"
@@ -164,14 +165,15 @@ TEST(NoSpeculationControl, ZenbleedUnreachable) {
 }
 
 TEST(NoSpeculationControl, CampaignFindsNothing) {
-  core::EngineOptions opts;
-  opts.core = no_speculation_config();
-  opts.core.vuln.mwait_emulation = true;
-  opts.core.vuln.zenbleed_emulation = true;
-  opts.detector.monitor_cache = true;
-  opts.rng_seed = 3;
-  core::SpecureEngine engine(opts);
-  const auto result = engine.run(300);
+  core::CampaignSpec spec;
+  spec.core = no_speculation_config();
+  spec.core.vuln.mwait_emulation = true;
+  spec.core.vuln.zenbleed_emulation = true;
+  spec.detector.monitor_cache = true;
+  spec.rng_seed = 3;
+  spec.batch_size = 1;
+  spec.budget.iterations = 300;
+  const auto result = core::Session(spec).run();
   EXPECT_TRUE(result.vulns.empty());
 }
 

@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "core/campaign_spec.hpp"
 #include "core/coverage_calc.hpp"
 #include "core/leakage.hpp"
 #include "core/mst.hpp"
 #include "core/offline.hpp"
-#include "core/specure.hpp"
+#include "core/session.hpp"
 #include "core/vuln_detect.hpp"
 #include "fuzz/seeds.hpp"
 #include "riscv/program.hpp"
@@ -31,6 +32,16 @@ Program mispredict_program(const std::vector<std::uint32_t>& wrong_path,
   b.nop();
   b.ecall();
   return b.build();
+}
+
+/// The classic serial campaign (batch 1: every iteration's corpus
+/// feedback lands before the next program is drawn).
+CampaignSpec serial_spec(std::uint64_t seed, std::uint64_t iterations) {
+  CampaignSpec spec;
+  spec.rng_seed = seed;
+  spec.batch_size = 1;
+  spec.budget.iterations = iterations;
+  return spec;
 }
 
 struct Pipeline {
@@ -289,10 +300,7 @@ TEST(Offline, RtlPathAgreesWithStructuralPath) {
 // -------------------------------------------------------- LP coverage ----
 
 TEST(LpCoverage, GrowsDuringFuzzing) {
-  EngineOptions opts;
-  opts.rng_seed = 11;
-  SpecureEngine engine(opts);
-  const CampaignResult res = engine.run(60);
+  const CampaignResult res = Session(serial_spec(11, 60)).run();
   ASSERT_EQ(res.history.size(), 60u);
   EXPECT_GT(res.history.back().covered_pdlc, 0u);
   // Monotone non-decreasing.
@@ -336,14 +344,11 @@ TEST(LpCoverage, DeltaPathMatchesDenseReferencePath) {
   EXPECT_EQ(a.covered(), b.covered());
 }
 
-// ---------------------------------------------------------------- engine --
+// -------------------------------------------------------------- campaign --
 
-TEST(Engine, CampaignIsDeterministic) {
-  EngineOptions opts;
-  opts.rng_seed = 21;
-  SpecureEngine e1(opts), e2(opts);
-  const auto r1 = e1.run(40);
-  const auto r2 = e2.run(40);
+TEST(Campaign, IsDeterministic) {
+  const auto r1 = Session(serial_spec(21, 40)).run();
+  const auto r2 = Session(serial_spec(21, 40)).run();
   ASSERT_EQ(r1.history.size(), r2.history.size());
   for (std::size_t i = 0; i < r1.history.size(); ++i) {
     EXPECT_EQ(r1.history[i].covered_pdlc, r2.history[i].covered_pdlc);
@@ -352,29 +357,22 @@ TEST(Engine, CampaignIsDeterministic) {
   EXPECT_EQ(r1.vulns.size(), r2.vulns.size());
 }
 
-TEST(Engine, StopPredicateEndsEarly) {
-  EngineOptions opts;
-  opts.rng_seed = 22;
-  SpecureEngine engine(opts);
-  const auto res = engine.run(
-      1000, [](const CampaignResult& r) { return r.history.size() >= 7; });
+TEST(Campaign, StopConditionEndsEarly) {
+  Session session(serial_spec(22, 1000));
+  session.add_stop(Session::stop_after_iterations(7));
+  const auto res = session.run();
   EXPECT_EQ(res.history.size(), 7u);
 }
 
-TEST(Engine, FindsZenbleedByFuzzing) {
+TEST(Campaign, FindsZenbleedByFuzzing) {
   // With the emulation armed, the fuzzer must find the Zenbleed leak in a
   // bounded number of iterations (CSR writes to zenbleed_en are in the
   // mutation vocabulary).
-  EngineOptions opts;
-  opts.core.vuln.zenbleed_emulation = true;
-  opts.rng_seed = 1;
-  SpecureEngine engine(opts);
-  const auto res = engine.run(3500, [](const CampaignResult& r) {
-    for (const auto& [key, iter] : r.first_detection) {
-      if (key.find("core.rf.") != std::string::npos) return true;
-    }
-    return false;
-  });
+  CampaignSpec spec = serial_spec(1, 3500);
+  spec.core.vuln.zenbleed_emulation = true;
+  Session session(spec);
+  session.add_stop(Session::stop_on_finding("core.rf."));
+  const auto res = session.run();
   bool found = false;
   for (const auto& [key, iter] : res.first_detection) {
     found |= key.find("core.rf.") != std::string::npos;
@@ -382,18 +380,15 @@ TEST(Engine, FindsZenbleedByFuzzing) {
   EXPECT_TRUE(found) << "zenbleed not found within 3500 iterations";
 }
 
-TEST(Engine, MstSampleCollected) {
-  EngineOptions opts;
-  opts.rng_seed = 23;
-  SpecureEngine engine(opts);
-  const auto res = engine.run(30);
+TEST(Campaign, MstSampleCollected) {
+  const auto res = Session(serial_spec(23, 30)).run();
   EXPECT_GT(res.total_windows, 0u);
   EXPECT_GT(res.mispredicted_windows, 0u);
   EXPECT_FALSE(res.mst_sample.empty());
   for (const auto& w : res.mst_sample) EXPECT_TRUE(w.mispredicted);
 }
 
-TEST(Engine, FindingKeysStable) {
+TEST(Campaign, FindingKeysStable) {
   VulnReport r;
   r.kind = VulnKind::kDirectLeak;
   r.sink_signal = "core.rf.x7";

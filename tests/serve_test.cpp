@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -235,6 +236,15 @@ TEST_F(StateRejection, VersionSkewIsRefusedNotMisparsed) {
   EXPECT_NE(message.find(std::to_string(kStateFormatVersion + 1)),
             std::string::npos)
       << message;
+}
+
+TEST_F(StateRejection, VersionOneStateIsRefused) {
+  // Version 1 files carry per-job parent fields this build cannot read.
+  std::string old = bytes_;
+  old[8] = 1;
+  const std::string message = expect_load_error(old);
+  EXPECT_NE(message.find("format version 1"), std::string::npos) << message;
+  EXPECT_NE(message.find("reads version 2"), std::string::npos) << message;
 }
 
 TEST_F(StateRejection, ResultAffectingSpecChangeIsListed) {
@@ -572,6 +582,46 @@ TEST_F(ServeDaemon, PauseHaltsProgressAndResumeCompletes) {
     ASSERT_EQ(reply.find("error"), nullptr);
   }
   EXPECT_EQ(wait_done(id), "done");
+}
+
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+/// VmSize of this process in kB (/proc/self/status).
+std::uint64_t vm_size_kb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::strtoull(line.c_str() + 7, nullptr, 10);
+    }
+  }
+  return 0;
+}
+
+TEST_F(ServeDaemon, FinishedConnectionHandlersAreReaped) {
+  start("reap");
+  const auto scrape = [&] {
+    Client client(socket_);
+    const Json reply = client.request("{\"verb\": \"metrics\"}");
+    EXPECT_NE(reply.find("metrics"), nullptr);
+  };
+  scrape();  // the accept loop and the runner are up
+  const std::size_t threads = thread_count();
+  const std::uint64_t vm_kb = vm_size_kb();
+  for (int i = 0; i < 300; ++i) scrape();
+  EXPECT_LE(thread_count(), threads + 2);
+  // A finished handler that is never joined leaves no task behind but
+  // keeps its stack mapped (8 MiB each at the usual stack limit), so an
+  // accept loop that never reaps grows the address space by gigabytes.
+  EXPECT_LT(vm_size_kb(), vm_kb + 150 * 1024);
 }
 
 }  // namespace

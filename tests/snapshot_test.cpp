@@ -5,6 +5,7 @@
 #include "snapshot/signal_db.hpp"
 #include "snapshot/snapshot.hpp"
 #include "snapshot/vcd.hpp"
+#include "util/rng.hpp"
 
 namespace specure::snapshot {
 namespace {
@@ -228,6 +229,39 @@ TEST(Trace, ChangedMask) {
   EXPECT_EQ(words, std::vector<std::uint64_t>{0b101});
   t.changed_words(3, 9, words);
   EXPECT_EQ(words, std::vector<std::uint64_t>{0});
+}
+
+/// Record `ticks` pseudo-random cycles (1..ticks) into `t`.
+void record_random(Trace& t, std::size_t ticks, std::uint64_t seed) {
+  util::Rng rng(seed);
+  for (std::uint64_t c = 1; c <= ticks; ++c) {
+    t.begin_cycle(c);
+    t.record(0, rng.below(4));
+    t.record(1, rng.below(3));
+    t.record(2, rng.below(2));
+  }
+}
+
+TEST(TraceReset, KeepsSchemaDropsData) {
+  const SignalDb db = make_db();
+  Trace t(&db);
+  record_random(t, 80, 3);
+  EXPECT_GT(t.event_count(), 0u);
+  t.reset();
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.event_count(), 0u);
+  // Recording after reset behaves like a fresh trace.
+  record_random(t, 80, 3);
+  Trace fresh(&db);
+  record_random(fresh, 80, 3);
+  ASSERT_EQ(t.size(), fresh.size());
+  ASSERT_EQ(t.event_count(), fresh.event_count());
+  for (std::size_t e = 0; e < t.event_count(); ++e) {
+    EXPECT_EQ(t.event_id(e), fresh.event_id(e));
+    EXPECT_EQ(t.event_value(e), fresh.event_value(e));
+  }
+  EXPECT_EQ(t.at_cycle(80).values, fresh.at_cycle(80).values);
+  EXPECT_EQ(t.memory_bytes(), fresh.memory_bytes());
 }
 
 TEST(Trace, EmptyWindowNoChanges) {

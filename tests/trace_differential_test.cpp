@@ -11,7 +11,6 @@
 #include "core/coverage_calc.hpp"
 #include "core/mst.hpp"
 #include "core/offline.hpp"
-#include "fuzz/mutator.hpp"
 #include "fuzz/seeds.hpp"
 #include "riscv/program.hpp"
 #include "sim/core.hpp"
@@ -275,54 +274,6 @@ TEST(TraceDifferential, DirtyCaptureMatchesDenseSweepAcrossConfigs) {
       SCOPED_TRACE(preset);
       expect_bit_identical(dirty, dense);
     }
-  }
-}
-
-TEST(TraceDifferential, TieredDirtyCaptureMatchesDenseUnderLoadsArm) {
-  // The fast tier shares the capture engine; a tiered run (both handoff
-  // policies — loads_arm is the cache-monitoring detector's conservative
-  // scan) must produce the dense reference's exact event stream.
-  sim::CoreConfig cfg = preset_cfg("full");
-  sim::Simulator tiered_sim(cfg);
-  cfg.record_dense_trace = true;
-  sim::Simulator dense_sim(cfg);
-  for (const auto& program : corpus()) {
-    const sim::RunResult dense = dense_sim.run(program);
-    for (const bool loads_arm : {false, true}) {
-      const auto& dec = tiered_sim.decode(program);
-      const std::size_t handoff = fuzz::handoff_index(dec, loads_arm);
-      sim::RunResult tiered(&tiered_sim.signal_db());
-      tiered_sim.run_tiered(program, handoff, tiered, nullptr, &dec);
-      SCOPED_TRACE(loads_arm ? "loads_arm" : "branches_only");
-      expect_bit_identical(tiered, dense);
-    }
-  }
-}
-
-TEST(TraceDifferential, CheckpointResumeMidKeyframeMatchesColdRun) {
-  // A resumed run's first captured cycle relies on the forked trace's
-  // live array plus that cycle's own dirty marks — no full re-sweep. The
-  // 24-cycle cadence forces checkpoints off the 64-tick keyframe grid,
-  // so the fork lands mid-keyframe (the replay-heavy path).
-  sim::Simulator s{sim::CoreConfig{}};
-  for (const auto& program : corpus()) {
-    sim::RunResult cold(&s.signal_db());
-    s.run(program, cold);
-    sim::CheckpointOptions opts;
-    opts.interval = 24;
-    std::vector<sim::Checkpoint> checkpoints;
-    sim::RunResult parent(&s.signal_db());
-    s.run(program, opts, checkpoints, parent);
-    std::size_t tested = 0;
-    for (const auto& ck : checkpoints) {
-      if (ck.cycle % 64 == 0) continue;  // keyframe-aligned: easy case
-      sim::RunResult resumed(&s.signal_db());
-      s.run_from(ck, parent.trace, parent.commits, program, resumed);
-      SCOPED_TRACE("checkpoint cycle " + std::to_string(ck.cycle));
-      expect_bit_identical(resumed, cold);
-      if (++tested == 3) break;  // bound test cost per program
-    }
-    EXPECT_GT(tested, 0u) << "no mid-keyframe checkpoint was saved";
   }
 }
 

@@ -47,12 +47,16 @@
 #include <thread>
 #include <vector>
 
+#include "core/campaign_spec.hpp"
 #include "core/offline.hpp"
 #include "core/report.hpp"
 #include "core/session.hpp"
-#include "core/specure.hpp"
 #include "core/sweep.hpp"
+#include "core/vuln_detect.hpp"
+#include "ift/arch_regs.hpp"
+#include "obs/metrics.hpp"
 #include "riscv/disasm.hpp"
+#include "riscv/program.hpp"
 #include "serve/campaign_state.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -232,13 +236,9 @@ int report_and_exit_code(const core::CampaignResult& result,
                 stats.result_wait_seconds, stats.vcd_seconds);
     for (std::size_t w = 0; w < stats.workers.size(); ++w) {
       const core::PipelineWorkerStats& ws = stats.workers[w];
-      std::printf("  worker %zu: %llu jobs  execute %.3fs  queue-wait %.3fs"
-                  "  fast-cycles %llu  handoffs %llu  tier-fallbacks %llu\n",
+      std::printf("  worker %zu: %llu jobs  execute %.3fs  queue-wait %.3fs\n",
                   w, static_cast<unsigned long long>(ws.jobs),
-                  ws.execute_seconds, ws.queue_wait_seconds,
-                  static_cast<unsigned long long>(ws.fast_cycles),
-                  static_cast<unsigned long long>(ws.handoffs),
-                  static_cast<unsigned long long>(ws.tier_fallbacks));
+                  ws.execute_seconds, ws.queue_wait_seconds);
     }
     // Run length from the workers' registry lanes: runs that hit the
     // cycle budget, and the mean of the cycles-per-run histogram (exact,
