@@ -200,20 +200,6 @@ const std::vector<KeyDef>& key_table() {
              [](CampaignSpec& s, const std::string& v) {
                s.batch_size = static_cast<std::size_t>(parse_u64("batch", v));
              }},
-      KeyDef{"pipeline", "campaign", true,
-             [](const CampaignSpec& s) {
-               return std::string(pipeline_mode_name(s.pipeline));
-             },
-             [](CampaignSpec& s, const std::string& v) {
-               if (v == "window") {
-                 s.pipeline = PipelineMode::kWindow;
-               } else if (v == "barrier") {
-                 s.pipeline = PipelineMode::kBarrier;
-               } else {
-                 throw SpecError("pipeline: '" + v +
-                                 "' is not an executor (window | barrier)");
-               }
-             }},
       SPEC_SIZE("mst_rows", "campaign", mst_sample_rows),
       SPEC_U64("progress_interval", "campaign", progress_interval),
       KeyDef{"vcd_out", "campaign", true,
@@ -337,10 +323,6 @@ std::string_view feedback_mode_name(FeedbackMode mode) {
 
 std::string_view lp_policy_name(LpPolicy policy) {
   return policy == LpPolicy::kAllSignals ? "all-signals" : "endpoints";
-}
-
-std::string_view pipeline_mode_name(PipelineMode mode) {
-  return mode == PipelineMode::kWindow ? "window" : "barrier";
 }
 
 std::string_view triage_mode_name(TriageMode mode) {

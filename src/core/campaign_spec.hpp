@@ -69,18 +69,6 @@ enum class TriageMode : std::uint8_t { kOff, kOn, kFull };
 
 std::string_view triage_mode_name(TriageMode mode);
 
-/// Campaign executor strategy. Both modes implement the same sliding-
-/// window generation contract (job k is generated from the merged state
-/// through iteration k - batch_size), so they produce bit-identical
-/// CampaignResults at a fixed seed; they differ only in wall-clock
-/// behaviour. kWindow overlaps generation, simulation and merging with
-/// no global barrier; kBarrier executes one window at a time with a
-/// convoy barrier between execute and merge — kept as the reference
-/// executor the pipelined path is differentially pinned against.
-enum class PipelineMode : std::uint8_t { kWindow, kBarrier };
-
-std::string_view pipeline_mode_name(PipelineMode mode);
-
 /// Unread; kept only for CampaignSpec::tier (see there).
 enum class TierMode : std::uint8_t { kDetailed, kFast };
 
@@ -101,8 +89,10 @@ struct CampaignSpec {
   ift::PdlcOptions pdlc;
   std::uint64_t rng_seed = 1;
   std::size_t mst_sample_rows = 16;
-  /// Simulation worker count; 0 = all hardware threads. Never affects
-  /// campaign results, only wall-clock time.
+  /// Simulation worker count; 0 = all hardware threads. 1 runs the
+  /// serial loop on the caller thread, 2 or more the sliding-window
+  /// executor (see core/session.hpp). Never affects campaign results,
+  /// only wall-clock time.
   std::size_t jobs = 0;
   /// The sliding-window width W: job k is generated from the merged
   /// campaign state through iteration k - W, so at most W jobs are ever
@@ -110,11 +100,6 @@ struct CampaignSpec {
   /// latency for parallelism; 1 reproduces the classic serial
   /// generate -> simulate -> feed-back loop exactly.
   std::size_t batch_size = 32;
-  /// Executor strategy: window (pipelined, default) | barrier (the
-  /// batch-synchronous reference executor). Never affects campaign
-  /// results — both implement the same generation contract — only
-  /// wall-clock scaling.
-  PipelineMode pipeline = PipelineMode::kWindow;
   // Unread, no spec key: every job runs cold; the benchmark still sets them.
   TierMode tier = TierMode::kFast;
   bool checkpoint = true;

@@ -16,11 +16,14 @@ CampaignWorker::CampaignWorker(const sim::CoreConfig& core,
 void CampaignWorker::set_observability(const WorkerObservability& hooks) {
   tracer_ = hooks.tracer;
   lane_ = hooks.lane;
-  capped_runs_ = obs::Counter();
-  run_cycles_ = obs::Histogram();
+  execute_ns_ = jobs_ = capped_runs_ = obs::Counter();
+  execute_hist_ = run_cycles_ = obs::Histogram();
   if (hooks.registry != nullptr) {
+    execute_ns_ = hooks.registry->counter("worker/execute_ns");
+    jobs_ = hooks.registry->counter("worker/jobs");
     capped_runs_ = hooks.registry->counter("sim/capped_runs");
     if (hooks.histograms) {
+      execute_hist_ = hooks.registry->histogram("hist/execute_ns");
       run_cycles_ = hooks.registry->histogram("hist/run_cycles");
     }
   }
@@ -29,8 +32,7 @@ void CampaignWorker::set_observability(const WorkerObservability& hooks) {
 void CampaignWorker::process(const fuzz::FuzzJob& job,
                              const util::AtomicBitset* lp_already_covered,
                              WorkerResult& out) {
-  std::chrono::steady_clock::time_point e0;
-  if (tracer_ != nullptr) e0 = std::chrono::steady_clock::now();
+  const auto e0 = std::chrono::steady_clock::now();
   // Recycle the shell's coverage buckets into the scratch RunResult
   // before the run (the simulator resets them keeping capacity), closing
   // the buffer-reuse loop across the executor's queue boundary.
@@ -52,9 +54,14 @@ void CampaignWorker::process(const fuzz::FuzzJob& job,
   run_cycles_.record(lane_, out.cycles);
   if (out.cycles >= sim_.config().max_cycles) capped_runs_.add(lane_);
 
+  const auto e1 = std::chrono::steady_clock::now();
+  const auto ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(e1 - e0).count());
+  execute_ns_.add(lane_, ns);
+  execute_hist_.record(lane_, ns);
+  jobs_.add(lane_);
   if (tracer_ != nullptr) {
-    tracer_->record(lane_, "execute", "pipeline", e0,
-                    std::chrono::steady_clock::now(), job.iteration);
+    tracer_->record(lane_, "execute", "pipeline", e0, e1, job.iteration);
   }
 }
 

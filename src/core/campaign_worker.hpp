@@ -32,11 +32,12 @@
 namespace specure::core {
 
 /// Observability wiring the session hands each worker before a run():
-/// registry instruments on the worker's lane (runs that hit max_cycles
-/// and — with `histograms` — cycles per run) and, when tracing, the span
-/// recorder the worker emits execute spans into. All-default
-/// (null) wiring makes every instrumentation site a no-op; nothing here
-/// ever affects simulation results.
+/// registry instruments on the worker's lane (time inside process(), jobs
+/// processed, runs that hit max_cycles and — with `histograms` — execute
+/// time and cycles per run) and, when tracing, the span recorder the
+/// worker emits execute spans into. All-default (null) wiring makes every
+/// instrumentation site a no-op; nothing here ever affects simulation
+/// results.
 struct WorkerObservability {
   obs::Registry* registry = nullptr;
   obs::TraceRecorder* tracer = nullptr;
@@ -100,7 +101,10 @@ class CampaignWorker {
 
   // Observability (see set_observability). The counters are inert when
   // no registry is attached; tracer_ == nullptr skips every span site.
+  obs::Counter execute_ns_;
+  obs::Counter jobs_;
   obs::Counter capped_runs_;
+  obs::Histogram execute_hist_;
   obs::Histogram run_cycles_;
   obs::TraceRecorder* tracer_ = nullptr;
   std::size_t lane_ = 0;

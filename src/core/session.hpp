@@ -23,7 +23,7 @@
 // max_seconds is inherently wall-clock).
 //
 // run() may be called repeatedly; each call is a fresh campaign from the
-// same spec (simulators and the thread pool are built once and reused).
+// same spec (the simulation workers are built once and reused).
 //
 // Parallel campaign architecture
 // ------------------------------
@@ -35,23 +35,27 @@
 //
 // The scheduler streams (iteration, program, derived_rng_seed) jobs from
 // the fuzzer into a sliding window of at most batch_size in-flight
-// iterations; the jobs are simulated and analyzed concurrently by `jobs`
-// workers, each owning a private sim::Simulator; the merger consumes
-// completions strictly in iteration order, applying LP-coverage commits,
-// code-coverage merges, vulnerability deduplication, MST sampling and
-// corpus feedback — and refills the window after every merge, so no
-// worker ever waits on a batch barrier.
+// iterations; the merger consumes completions strictly in iteration
+// order, applying LP-coverage commits, code-coverage merges,
+// vulnerability deduplication, MST sampling and corpus feedback, and
+// refills the window after every merge. Generation and merging form one
+// merge strand on the caller thread. The executor follows from the
+// resolved worker count: jobs == 1 runs the definitional serial loop
+// (simulate the oldest in-flight job on the caller thread, merge it, draw
+// its replacement); jobs >= 2 runs the sliding-window executor, whose
+// `jobs` worker threads, each owning a private sim::Simulator, simulate
+// and analyze the window concurrently with no batch barrier.
 //
 // Determinism contract (sliding-window feedback): job k is generated
 // from the merged campaign state through iteration k - batch_size (the
 // window width), so corpus updates earned at iteration j take effect at
 // iteration j + batch_size. That generation schedule is a pure function
 // of (rng_seed, batch_size) — independent of `jobs`, of worker timing,
-// and of which executor runs the window (the pipelined default or the
-// `pipeline = barrier` reference) — so a campaign with a fixed rng_seed
-// and batch_size produces a bit-identical CampaignResult regardless of
-// thread count; only wall-clock time changes. batch_size == 1 degenerates
-// to the classic serial generate → simulate → feed-back loop.
+// and so of which executor runs the window — so a campaign with a fixed
+// rng_seed and batch_size produces a bit-identical CampaignResult
+// regardless of thread count; only wall-clock time changes. batch_size
+// == 1 degenerates to the classic serial generate → simulate → feed-back
+// loop.
 #pragma once
 
 #include <atomic>
@@ -70,7 +74,6 @@
 #include "obs/trace.hpp"
 #include "sim/core.hpp"
 #include "triage/triage.hpp"
-#include "util/thread_pool.hpp"
 
 namespace specure::core {
 
@@ -219,7 +222,7 @@ class Session {
   /// fresh (durable-state resume, `specure run --resume`, the serve
   /// daemon's restart recovery). The frontier must come from a campaign
   /// with the same result-affecting spec fields; wall-clock-only fields
-  /// (jobs, pipeline, intervals, output paths) may differ —
+  /// (jobs, intervals, output paths) may differ —
   /// the result stays bit-identical either way.
   void resume_from(CampaignFrontier frontier);
 
@@ -283,22 +286,35 @@ class Session {
     return metrics_ != nullptr ? metrics_->snapshot() : obs::Snapshot{};
   }
 
-  /// Test-only hook: runs on the worker thread before each job is
-  /// processed (pipeline_test injects adversarial per-job delays to
-  /// stress the in-order merge). Must not touch campaign state.
+  /// Test-only hook: runs on the thread that simulates each job, before
+  /// the job is processed (pipeline_test injects adversarial per-job
+  /// delays to stress the in-order merge). Must not touch campaign state.
   void set_test_job_delay(
       std::function<void(const fuzz::FuzzJob&, std::size_t)> fn) {
     test_job_delay_ = std::move(fn);
   }
 
  private:
+  /// Draw → merge → frontier state of one run() (session.cpp).
+  class MergeStrand;
+
+  /// The executors: jobs == 1 runs the serial loop on the caller thread,
+  /// jobs >= 2 the sliding window over `jobs` worker threads.
+  void run_serial(MergeStrand& strand);
+  void run_window(MergeStrand& strand, std::size_t jobs);
+
+  // Post-campaign tail, shared by run() and finalize_interrupted().
+  void drain_waveforms(const std::vector<PendingWaveform>& pending,
+                       const std::vector<VulnReport>& vulns);
+  void triage_findings(const std::vector<VulnReport>& vulns);
+  void write_trace() const;
+
   CampaignSpec spec_;
   OfflineResult offline_;
   sim::Simulator sim_;
-  /// Worker pool, built lazily on the first run() and reused by later
-  /// campaigns (simulator construction is not free).
+  /// Simulation workers, built lazily on the first run() and reused by
+  /// later campaigns (simulator construction is not free).
   std::vector<std::unique_ptr<CampaignWorker>> workers_;
-  std::unique_ptr<util::ThreadPool> pool_;
 
   std::vector<std::function<void(const ProgressEvent&)>> progress_observers_;
   std::vector<std::function<void(const CoverageEvent&)>> coverage_observers_;
@@ -314,7 +330,6 @@ class Session {
   std::atomic<bool> pause_requested_{false};
   std::atomic<std::uint64_t> pause_at_{0};
   bool paused_ = false;
-  double prior_seconds_ = 0;
   std::vector<StopCondition> stops_;
   std::unique_ptr<triage::TriageReport> triage_report_;
   PipelineStats pipeline_stats_;

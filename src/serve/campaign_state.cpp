@@ -417,9 +417,8 @@ const std::vector<std::string>& result_neutral_keys() {
   // Every key here is documented (and tested) to never change a
   // CampaignResult — only wall-clock behaviour and side-output paths.
   static const std::vector<std::string> keys = {
-      "jobs",    "pipeline",   "progress_interval", "vcd_out",
-      "triage",  "triage_out", "state_out",         "state_interval",
-      "metrics", "trace_out"};
+      "jobs",      "progress_interval", "vcd_out", "triage",  "triage_out",
+      "state_out", "state_interval",    "metrics", "trace_out"};
   return keys;
 }
 
@@ -448,7 +447,7 @@ core::CampaignSpec resume_spec(const CampaignState& state,
         "which would break the bit-identity contract —" +
         mismatches +
         "\nresume with a matching spec (wall-clock fields like jobs/"
-        "pipeline/vcd_out may differ), or restart without --resume");
+        "vcd_out may differ), or restart without --resume");
   }
 
   // Adopt the requested wall-clock fields onto the stored spec.

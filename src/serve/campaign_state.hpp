@@ -34,8 +34,9 @@ namespace specure::serve {
 
 /// Bump on any payload layout change. Old files are refused with a
 /// version-skew message, never misparsed. Version 2 dropped the in-flight
-/// jobs' mutation-parent fields.
-constexpr std::uint32_t kStateFormatVersion = 2;
+/// jobs' mutation-parent fields; version 3 dropped the spec's `pipeline`
+/// key.
+constexpr std::uint32_t kStateFormatVersion = 3;
 
 struct CampaignState {
   core::CampaignSpec spec;          ///< the spec the campaign ran under
@@ -63,12 +64,11 @@ void save_state_file(const std::string& path, const core::CampaignSpec& spec,
 CampaignState load_state_file(const std::string& path);
 
 /// Build the spec a resumed campaign runs under: the stored spec with
-/// the *result-neutral* fields (jobs, pipeline, intervals, output
-/// paths) adopted from `requested`. Any difference in
-/// a result-affecting field (seed, budgets, core config, fuzzer options,
-/// detectors, ...) throws StateError listing every mismatched key —
-/// resuming under a spec that changes the result would silently break
-/// the bit-identity contract.
+/// the *result-neutral* fields (jobs, intervals, output paths) adopted
+/// from `requested`. Any difference in a result-affecting field (seed,
+/// budgets, core config, fuzzer options, detectors, ...) throws
+/// StateError listing every mismatched key — resuming under a spec that
+/// changes the result would silently break the bit-identity contract.
 core::CampaignSpec resume_spec(const CampaignState& state,
                                const core::CampaignSpec& requested);
 

@@ -94,10 +94,14 @@ TEST(CampaignSpecOverrides, UnknownKeySuggestsClosest) {
 
 TEST(CampaignSpecOverrides, RemovedKeysAreRejected) {
   // tier, checkpoint and checkpoint_cache_mb selected prefix-reuse paths
-  // that no longer exist: a spec naming them fails, never passes silently.
+  // that no longer exist, and pipeline an executor that no longer
+  // exists: a spec naming them fails, never passes silently.
   CampaignSpec spec;
   const std::vector<std::pair<std::string, std::string>> removed = {
-      {"tier", "fast"}, {"checkpoint", "off"}, {"checkpoint_cache_mb", "8"}};
+      {"tier", "fast"},
+      {"checkpoint", "off"},
+      {"checkpoint_cache_mb", "8"},
+      {"pipeline", "barrier"}};
   for (const auto& [key, value] : removed) {
     const std::string msg = error_of([&] { spec.set(key, value); });
     EXPECT_NE(msg.find("unknown spec key '" + key + "'"), std::string::npos)

@@ -6,11 +6,12 @@
 //     well-formed (validated with the serve layer's own JSON parser).
 //
 //  2. Result-neutrality — a campaign's CampaignResult is bit-identical
-//     with metrics/tracing on or off, across jobs counts and both
-//     executors, and an interrupted run still materializes its pipeline
-//     stats. This is the load-bearing pin: every instrumentation site in
-//     session/worker code is wall-clock-only by construction, and this
-//     differential catches any future site that forgets.
+//     with metrics/tracing on or off, at jobs 1 (the serial loop) and 4
+//     (the window executor), and an interrupted run still materializes
+//     its pipeline stats. This is the load-bearing pin: every
+//     instrumentation site in session/worker code is wall-clock-only by
+//     construction, and this differential catches any future site that
+//     forgets.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "campaign_equal.hpp"
 #include "core/session.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
@@ -255,74 +257,49 @@ TEST(ObsPrometheus, RendersFamiliesGroupedWithLabels) {
 
 // ---------------------------------------------------- result neutrality ----
 
-core::CampaignResult run_with(std::size_t jobs, core::PipelineMode pipeline,
-                              bool metrics, const std::string& trace_out) {
+core::CampaignResult run_with(std::size_t jobs, bool metrics,
+                              const std::string& trace_out) {
   core::CampaignSpec spec;
   spec.rng_seed = 5;
   spec.jobs = jobs;
   spec.budget.iterations = 60;
-  spec.pipeline = pipeline;
   spec.metrics = metrics;
   spec.trace_out = trace_out;
   core::Session session(spec);
   return session.run();
 }
 
-void expect_identical(const core::CampaignResult& a,
-                      const core::CampaignResult& b) {
-  ASSERT_EQ(a.history.size(), b.history.size());
-  for (std::size_t i = 0; i < a.history.size(); ++i) {
-    EXPECT_EQ(a.history[i].iteration, b.history[i].iteration);
-    EXPECT_EQ(a.history[i].covered_pdlc, b.history[i].covered_pdlc);
-    EXPECT_EQ(a.history[i].coverage_points, b.history[i].coverage_points);
-    EXPECT_EQ(a.history[i].vulns_found, b.history[i].vulns_found);
-    EXPECT_EQ(a.history[i].cycles, b.history[i].cycles);
-  }
-  ASSERT_EQ(a.vulns.size(), b.vulns.size());
-  EXPECT_EQ(a.first_detection, b.first_detection);
-  EXPECT_EQ(a.total_windows, b.total_windows);
-  EXPECT_EQ(a.mispredicted_windows, b.mispredicted_windows);
-  EXPECT_EQ(a.pdlc_total, b.pdlc_total);
-}
-
 TEST(ObsNeutrality, ResultsIdenticalWithMetricsAndTracingOnOrOff) {
   const std::string trace_path = "obs_test_trace.json";
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
-    for (const core::PipelineMode mode :
-         {core::PipelineMode::kWindow, core::PipelineMode::kBarrier}) {
-      SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                   " mode=" + (mode == core::PipelineMode::kWindow
-                                   ? std::string("window")
-                                   : std::string("barrier")));
-      const core::CampaignResult off = run_with(jobs, mode, false, "");
-      const core::CampaignResult on = run_with(jobs, mode, true, "");
-      const core::CampaignResult traced =
-          run_with(jobs, mode, true, trace_path);
-      expect_identical(off, on);
-      expect_identical(off, traced);
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    const core::CampaignResult off = run_with(jobs, false, "");
+    const core::CampaignResult on = run_with(jobs, true, "");
+    const core::CampaignResult traced = run_with(jobs, true, trace_path);
+    expect_identical(off, on);
+    expect_identical(off, traced);
 
-      // The traced run left a loadable Chrome trace behind with the
-      // core span taxonomy in it.
-      std::ifstream in(trace_path, std::ios::binary);
-      ASSERT_TRUE(in.good());
-      std::stringstream buf;
-      buf << in.rdbuf();
-      const serve::Json doc = serve::parse_json(buf.str());
-      ASSERT_EQ(doc.kind, serve::Json::Kind::kObject);
-      const serve::Json* events = doc.find("traceEvents");
-      ASSERT_NE(events, nullptr);
-      bool saw_generate = false, saw_execute = false, saw_merge = false;
-      for (const serve::Json& e : events->items) {
-        const serve::Json* name = e.find("name");
-        if (name == nullptr) continue;
-        if (name->text == "generate") saw_generate = true;
-        if (name->text == "execute") saw_execute = true;
-        if (name->text == "merge") saw_merge = true;
-      }
-      EXPECT_TRUE(saw_generate);
-      EXPECT_TRUE(saw_execute);
-      EXPECT_TRUE(saw_merge);
+    // The traced run left a loadable Chrome trace behind with the
+    // core span taxonomy in it.
+    std::ifstream in(trace_path, std::ios::binary);
+    ASSERT_TRUE(in.good());
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const serve::Json doc = serve::parse_json(buf.str());
+    ASSERT_EQ(doc.kind, serve::Json::Kind::kObject);
+    const serve::Json* events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    bool saw_generate = false, saw_execute = false, saw_merge = false;
+    for (const serve::Json& e : events->items) {
+      const serve::Json* name = e.find("name");
+      if (name == nullptr) continue;
+      if (name->text == "generate") saw_generate = true;
+      if (name->text == "execute") saw_execute = true;
+      if (name->text == "merge") saw_merge = true;
     }
+    EXPECT_TRUE(saw_generate);
+    EXPECT_TRUE(saw_execute);
+    EXPECT_TRUE(saw_merge);
   }
   std::remove(trace_path.c_str());
 }
@@ -413,8 +390,7 @@ TEST(ObsNeutrality, InterruptedRunStillMaterializesStats) {
   // campaign to the exact uninterrupted result.
   session.finalize_interrupted();
   const core::CampaignResult rest = session.run();
-  const core::CampaignResult reference = run_with(
-      2, core::PipelineMode::kWindow, true, "");
+  const core::CampaignResult reference = run_with(2, true, "");
   (void)rest;
   EXPECT_EQ(rest.history.size(), 200u);
   (void)reference;

@@ -2,20 +2,23 @@
 // executor (core/session.cpp) and its lock-free plumbing (util/ring.hpp,
 // util/atomic_bitset.hpp).
 //
-// The contract under test: `pipeline = window` (the default) and
-// `pipeline = barrier` (the batch-synchronous reference) implement the
-// same generation schedule — job k is generated from merged state through
-// iteration k - batch_size — so their CampaignResults are bit-identical
-// for every worker count, under adversarial worker timing, and across
-// mid-window stops.
+// The contract under test: the window executor (jobs >= 2) and the
+// definitional serial loop (jobs == 1) implement the same generation
+// schedule — job k is generated from merged state through iteration
+// k - batch_size — so their CampaignResults are bit-identical for every
+// worker count, under adversarial worker timing, and across mid-window
+// stops. The serial loop is the oracle.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "campaign_equal.hpp"
 #include "core/session.hpp"
 #include "util/atomic_bitset.hpp"
 #include "util/ring.hpp"
@@ -23,98 +26,61 @@
 namespace specure::core {
 namespace {
 
-void expect_identical(const CampaignResult& a, const CampaignResult& b) {
-  ASSERT_EQ(a.history.size(), b.history.size());
-  for (std::size_t i = 0; i < a.history.size(); ++i) {
-    EXPECT_EQ(a.history[i].iteration, b.history[i].iteration);
-    EXPECT_EQ(a.history[i].covered_pdlc, b.history[i].covered_pdlc);
-    EXPECT_EQ(a.history[i].coverage_points, b.history[i].coverage_points);
-    EXPECT_EQ(a.history[i].vulns_found, b.history[i].vulns_found);
-    EXPECT_EQ(a.history[i].cycles, b.history[i].cycles);
-  }
-  ASSERT_EQ(a.vulns.size(), b.vulns.size());
-  for (std::size_t i = 0; i < a.vulns.size(); ++i) {
-    EXPECT_EQ(finding_key(a.vulns[i]), finding_key(b.vulns[i]));
-    EXPECT_EQ(a.vulns[i].sink_signal, b.vulns[i].sink_signal);
-    EXPECT_EQ(a.vulns[i].before, b.vulns[i].before);
-    EXPECT_EQ(a.vulns[i].after, b.vulns[i].after);
-    EXPECT_EQ(a.vulns[i].program, b.vulns[i].program);
-  }
-  EXPECT_EQ(a.first_detection, b.first_detection);
-  ASSERT_EQ(a.mst_sample.size(), b.mst_sample.size());
-  for (std::size_t i = 0; i < a.mst_sample.size(); ++i) {
-    EXPECT_EQ(a.mst_sample[i].start_cycle, b.mst_sample[i].start_cycle);
-    EXPECT_EQ(a.mst_sample[i].end_cycle, b.mst_sample[i].end_cycle);
-    EXPECT_EQ(a.mst_sample[i].inst, b.mst_sample[i].inst);
-  }
-  EXPECT_EQ(a.total_windows, b.total_windows);
-  EXPECT_EQ(a.mispredicted_windows, b.mispredicted_windows);
-  EXPECT_EQ(a.pdlc_total, b.pdlc_total);
-}
-
-CampaignSpec make_spec(const std::string& preset, PipelineMode mode,
-                       std::size_t jobs, std::uint64_t iterations,
-                       std::uint64_t seed) {
+CampaignSpec make_spec(const std::string& preset, std::size_t jobs,
+                       std::uint64_t iterations, std::uint64_t seed) {
   CampaignSpec spec = CampaignSpec::preset(preset);
   spec.rng_seed = seed;
   spec.jobs = jobs;
   spec.batch_size = 16;
   spec.budget.iterations = iterations;
-  spec.pipeline = mode;
   spec.progress_interval = 0;
   return spec;
 }
 
-CampaignResult run_campaign(const std::string& preset, PipelineMode mode,
-                            std::size_t jobs, std::uint64_t iterations,
-                            std::uint64_t seed) {
-  Session session(make_spec(preset, mode, jobs, iterations, seed));
+CampaignResult run_campaign(const std::string& preset, std::size_t jobs,
+                            std::uint64_t iterations, std::uint64_t seed) {
+  Session session(make_spec(preset, jobs, iterations, seed));
   return session.run();
 }
 
-void expect_window_matches_barrier(const std::string& preset,
-                                   std::uint64_t iterations,
-                                   std::uint64_t seed) {
-  const CampaignResult barrier =
-      run_campaign(preset, PipelineMode::kBarrier, 4, iterations, seed);
-  for (const std::size_t jobs : {1u, 2u, 4u}) {
-    const CampaignResult window =
-        run_campaign(preset, PipelineMode::kWindow, jobs, iterations, seed);
+/// The serial loop's result, after checking the window executor at
+/// jobs 2 and 4 reproduces it.
+CampaignResult expect_window_matches_serial(const std::string& preset,
+                                            std::uint64_t iterations,
+                                            std::uint64_t seed) {
+  const CampaignResult serial = run_campaign(preset, 1, iterations, seed);
+  for (const std::size_t jobs : {2u, 4u}) {
     SCOPED_TRACE("jobs=" + std::to_string(jobs));
-    expect_identical(barrier, window);
+    expect_identical(serial, run_campaign(preset, jobs, iterations, seed));
   }
+  return serial;
 }
 
-TEST(Pipeline, WindowMatchesBarrierDefaultSeed7) {
-  expect_window_matches_barrier("default", 120, 7);
+TEST(Pipeline, WindowMatchesSerialDefaultSeed7) {
+  expect_window_matches_serial("default", 120, 7);
 }
 
-TEST(Pipeline, WindowMatchesBarrierDefaultSeed9) {
-  expect_window_matches_barrier("default", 120, 9);
+TEST(Pipeline, WindowMatchesSerialDefaultSeed9) {
+  expect_window_matches_serial("default", 120, 9);
 }
 
-TEST(Pipeline, WindowMatchesBarrierFullSeed7) {
-  expect_window_matches_barrier("full", 80, 7);
+TEST(Pipeline, WindowMatchesSerialFullSeed7) {
+  expect_window_matches_serial("full", 80, 7);
 }
 
-TEST(Pipeline, WindowMatchesBarrierFullSeed9) {
+TEST(Pipeline, WindowMatchesSerialFullSeed9) {
   // The full preset reliably produces findings at this seed, so the
   // comparison covers the detector/dedup/VCD-pending path end to end.
-  const CampaignResult barrier =
-      run_campaign("full", PipelineMode::kBarrier, 4, 80, 9);
-  EXPECT_FALSE(barrier.vulns.empty());
-  const CampaignResult window =
-      run_campaign("full", PipelineMode::kWindow, 4, 80, 9);
-  expect_identical(barrier, window);
+  const CampaignResult serial = expect_window_matches_serial("full", 80, 9);
+  EXPECT_FALSE(serial.vulns.empty());
 }
 
 TEST(Pipeline, InOrderMergeUnderAdversarialWorkerDelays) {
   // Per-job pseudo-random delays force completions back into the merger
   // far out of iteration order; the reorder window must still merge in
-  // strict iteration order and reproduce the undelayed reference.
-  const CampaignResult reference =
-      run_campaign("default", PipelineMode::kBarrier, 4, 80, 7);
-  Session delayed(make_spec("default", PipelineMode::kWindow, 4, 80, 7));
+  // strict iteration order and reproduce the serial loop.
+  const CampaignResult reference = run_campaign("default", 1, 80, 7);
+  Session delayed(make_spec("default", 4, 80, 7));
   delayed.set_test_job_delay([](const fuzz::FuzzJob& job, std::size_t) {
     const std::uint64_t h = job.iteration * 2654435761u;
     std::this_thread::sleep_for(
@@ -123,34 +89,54 @@ TEST(Pipeline, InOrderMergeUnderAdversarialWorkerDelays) {
   expect_identical(reference, delayed.run());
 }
 
-TEST(Pipeline, StopConditionMidWindowIsConsistentAcrossModes) {
+TEST(Pipeline, StopConditionMidWindowIsConsistentAcrossExecutors) {
   // A stop that fires mid-window (7 merges into a 16-wide window) must
   // leave both executors at exactly the same campaign state.
-  const auto run_stopped = [](PipelineMode mode) {
-    Session session(make_spec("default", mode, 4, 200, 7));
+  const auto run_stopped = [](std::size_t jobs) {
+    Session session(make_spec("default", jobs, 200, 7));
     session.add_stop([](const CampaignResult& r) {
       return r.history.size() >= 7;
     });
     return session.run();
   };
-  const CampaignResult barrier = run_stopped(PipelineMode::kBarrier);
-  const CampaignResult window = run_stopped(PipelineMode::kWindow);
-  EXPECT_EQ(barrier.history.size(), 7u);
-  expect_identical(barrier, window);
+  const CampaignResult serial = run_stopped(1);
+  EXPECT_EQ(serial.history.size(), 7u);
+  expect_identical(serial, run_stopped(4));
 }
 
-TEST(Pipeline, SpecKeyRoundTripsAndRejectsJunk) {
-  CampaignSpec spec;
-  EXPECT_EQ(spec.pipeline, PipelineMode::kWindow);  // the default
-  spec.set("pipeline", "barrier");
-  EXPECT_EQ(spec.pipeline, PipelineMode::kBarrier);
-  const CampaignSpec reloaded = CampaignSpec::from_toml_string(spec.to_toml());
-  EXPECT_EQ(reloaded.pipeline, PipelineMode::kBarrier);
-  EXPECT_THROW(spec.set("pipeline", "turbo"), SpecError);
+std::string error_of_run(Session& session) {
+  try {
+    session.run();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "(no exception)";
+}
+
+TEST(Pipeline, MergeStrandExceptionPropagatesAtEveryJobsCount) {
+  // An exception on the merge strand — a frontier sink whose state write
+  // fails, a stop condition that throws — must reach run()'s caller
+  // unchanged at every jobs count: the window executor joins its
+  // workers before it unwinds, rather than terminating the process.
+  for (const std::size_t jobs : {1u, 2u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    Session sink_fails(make_spec("default", jobs, 200, 7));
+    sink_fails.on_frontier([](const CampaignFrontier& f) {
+      if (f.merged == 20) throw std::runtime_error("state write failed");
+    });
+    EXPECT_EQ(error_of_run(sink_fails), "state write failed");
+
+    Session stop_fails(make_spec("default", jobs, 200, 7));
+    stop_fails.add_stop([](const CampaignResult& r) -> bool {
+      if (r.history.size() == 20) throw std::runtime_error("stop failed");
+      return false;
+    });
+    EXPECT_EQ(error_of_run(stop_fails), "stop failed");
+  }
 }
 
 TEST(Pipeline, PipelineStatsCoverEveryJob) {
-  Session session(make_spec("default", PipelineMode::kWindow, 2, 48, 7));
+  Session session(make_spec("default", 2, 48, 7));
   session.run();
   const PipelineStats& stats = session.pipeline_stats();
   ASSERT_EQ(stats.workers.size(), 2u);

@@ -239,12 +239,17 @@ TEST_F(StateRejection, VersionSkewIsRefusedNotMisparsed) {
 }
 
 TEST_F(StateRejection, VersionOneStateIsRefused) {
-  // Version 1 files carry per-job parent fields this build cannot read.
-  std::string old = bytes_;
-  old[8] = 1;
-  const std::string message = expect_load_error(old);
-  EXPECT_NE(message.find("format version 1"), std::string::npos) << message;
-  EXPECT_NE(message.find("reads version 2"), std::string::npos) << message;
+  // Version 1 files carry per-job parent fields and version 2 files a
+  // `pipeline` spec key, neither of which this build can read.
+  for (const char version : {1, 2}) {
+    std::string old = bytes_;
+    old[8] = version;
+    const std::string message = expect_load_error(old);
+    EXPECT_NE(message.find("format version " + std::to_string(version)),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("reads version 3"), std::string::npos) << message;
+  }
 }
 
 TEST_F(StateRejection, ResultAffectingSpecChangeIsListed) {

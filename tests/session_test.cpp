@@ -7,25 +7,11 @@
 #include <thread>
 #include <vector>
 
+#include "campaign_equal.hpp"
 #include "core/session.hpp"
 
 namespace specure::core {
 namespace {
-
-void expect_identical(const CampaignResult& a, const CampaignResult& b) {
-  ASSERT_EQ(a.history.size(), b.history.size());
-  for (std::size_t i = 0; i < a.history.size(); ++i) {
-    EXPECT_EQ(a.history[i].iteration, b.history[i].iteration);
-    EXPECT_EQ(a.history[i].covered_pdlc, b.history[i].covered_pdlc);
-    EXPECT_EQ(a.history[i].coverage_points, b.history[i].coverage_points);
-    EXPECT_EQ(a.history[i].vulns_found, b.history[i].vulns_found);
-    EXPECT_EQ(a.history[i].cycles, b.history[i].cycles);
-  }
-  EXPECT_EQ(a.first_detection, b.first_detection);
-  EXPECT_EQ(a.total_windows, b.total_windows);
-  EXPECT_EQ(a.mispredicted_windows, b.mispredicted_windows);
-  EXPECT_EQ(a.pdlc_total, b.pdlc_total);
-}
 
 CampaignSpec small_spec(std::uint64_t iterations, std::uint64_t seed,
                         std::size_t batch = 8) {

@@ -405,7 +405,7 @@ int cmd_run(const Args& args) {
   spec.validate();
   if (resuming) {
     // Guards the bit-identity contract: only result-neutral keys (jobs,
-    // pipeline, output paths, intervals) may differ from the stored spec.
+    // output paths, intervals) may differ from the stored spec.
     spec = serve::resume_spec(state, spec);
   }
 
