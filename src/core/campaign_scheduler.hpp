@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "fuzz/corpus.hpp"
 
@@ -16,22 +15,17 @@ namespace specure::core {
 
 class CampaignScheduler {
  public:
-  /// `total_iterations` bounds the campaign: batches are clipped so the
-  /// scheduler never issues more than that many jobs in total.
+  /// `total_iterations` bounds the campaign: the scheduler never issues
+  /// more than that many jobs in total.
   CampaignScheduler(const fuzz::FuzzerOptions& options,
                     std::uint64_t rng_seed, std::uint64_t total_iterations);
 
-  /// Draw the next batch (at most `batch_size` jobs, fewer near the end).
-  /// Empty result means the campaign budget is exhausted.
-  std::vector<fuzz::FuzzJob> next_batch(std::size_t batch_size);
-
-  /// Draw one job (the sliding-window executor's per-merge refill).
-  /// False means the campaign budget is exhausted. Drawing n jobs this
-  /// way consumes exactly the stream of one next_batch(n) call.
+  /// Draw one job (the merge strand's window fill and per-merge refill).
+  /// False means the campaign budget is exhausted.
   bool next_job(fuzz::FuzzJob& out);
 
   /// Corpus feedback from the merger: the program run as `iteration` was
-  /// interesting (new coverage or a finding). Takes effect for every batch
+  /// interesting (new coverage or a finding). Takes effect for every job
   /// drawn after this call.
   void feedback(const riscv::Program& program, std::uint64_t iteration);
 

@@ -5,14 +5,12 @@
 #include <deque>
 #include <exception>
 #include <fstream>
-#include <mutex>
-#include <stdexcept>
 #include <thread>
 
 #include "core/campaign_scheduler.hpp"
 #include "snapshot/vcd.hpp"
 #include "util/fs.hpp"
-#include "util/ring.hpp"
+#include "util/work_queue.hpp"
 
 namespace specure::core {
 
@@ -706,12 +704,13 @@ void Session::run_serial(MergeStrand& strand) {
   }
 }
 
-// The pipelined sliding-window executor. No barrier anywhere: jobs flow
-// to workers through per-worker SPSC queues, results flow back through
-// one MPSC ring, and this (caller) thread merges strictly in iteration
-// order, dispatching job k + window the moment iteration k merges.
-// Workers never park while in-flight work exists, and the merge strand
-// overlaps simulation completely.
+// The pipelined sliding-window executor. No barrier anywhere: the strand
+// pushes each drawn job's slot onto one job queue that every worker pops,
+// workers push finished slots onto one completion queue, and this
+// (caller) thread merges strictly in iteration order, dispatching job
+// k + window the moment iteration k merges. An idle worker always takes
+// the oldest queued job, so a slow simulation delays only its own merge
+// turn, and the merge strand overlaps simulation completely.
 void Session::run_window(MergeStrand& strand, std::size_t jobs) {
   const std::size_t window = strand.window();
   const Instruments& o = strand.obs();
@@ -719,85 +718,59 @@ void Session::run_window(MergeStrand& strand, std::size_t jobs) {
   const std::size_t lane = merge_lane_;
 
   // One slot per in-flight iteration: the job rides out to the worker
-  // and the result rides back in the same slot, so the result shells
-  // (windows/lp_hits/coverage buffers) recycle automatically when the
-  // slot is reused by a later iteration. alignas(64): neighbouring
-  // slots are written by different workers concurrently.
+  // and the result (or the exception that replaced it) rides back in the
+  // same slot, so the result shells (windows/lp_hits/coverage buffers)
+  // recycle automatically when the slot is reused by a later iteration.
+  // alignas(64): neighbouring slots are written by different workers
+  // concurrently.
   struct alignas(64) Slot {
     fuzz::FuzzJob job;
     WorkerResult result;
+    std::exception_ptr error;
   };
   std::vector<Slot> slots(window);
-  // In-flight jobs never exceed the window, so capacity window + 1
-  // guarantees push() always succeeds (no producer-side blocking).
-  std::vector<std::unique_ptr<util::SpscRing<std::uint32_t>>> job_queues;
-  job_queues.reserve(jobs);
-  for (std::size_t w = 0; w < jobs; ++w) {
-    job_queues.push_back(
-        std::make_unique<util::SpscRing<std::uint32_t>>(window + 1));
-  }
-  util::MpscRing<std::uint32_t> completed(window + jobs + 1);
-  constexpr std::uint32_t kErrorSignal = 0xffffffffu;
-  std::mutex error_mu;
-  std::exception_ptr worker_error;  // guarded by error_mu
+  util::WorkQueue<std::size_t> job_queue;  // strand -> workers
+  util::WorkQueue<std::size_t> completed;  // workers -> strand
   const util::AtomicBitset& covered = strand.covered();
 
   const auto worker_main = [&](std::size_t w) {
-    util::SpscRing<std::uint32_t>& queue = *job_queues[w];
-    try {
-      std::uint32_t s = 0;
-      for (;;) {
-        const auto w0 = Clock::now();
-        if (!queue.pop_wait(s)) break;  // closed and drained
-        const auto w1 = Clock::now();
-        const std::uint64_t wd = to_ns(w1 - w0);
-        o.queue_wait.add(w, wd);
-        o.h_queue.record(w, wd);
-        if (tracer != nullptr) {
-          tracer->record(w, "queue_wait", "pipeline", w0, w1);
-        }
-        Slot& slot = slots[s];
+    for (;;) {
+      std::size_t s = 0;
+      const auto w0 = Clock::now();
+      if (!job_queue.pop(s)) return;  // closed and drained
+      const auto w1 = Clock::now();
+      const std::uint64_t wd = to_ns(w1 - w0);
+      o.queue_wait.add(w, wd);
+      o.h_queue.record(w, wd);
+      if (tracer != nullptr) {
+        tracer->record(w, "queue_wait", "pipeline", w0, w1);
+      }
+      Slot& slot = slots[s];
+      try {
         if (test_job_delay_) test_job_delay_(slot.job, w);
         workers_[w]->process(slot.job, &covered, slot.result);
-        completed.push(s);
+      } catch (...) {
+        slot.error = std::current_exception();
       }
-    } catch (...) {
-      {
-        std::lock_guard<std::mutex> lk(error_mu);
-        if (!worker_error) worker_error = std::current_exception();
-      }
-      completed.push(kErrorSignal);
+      completed.push(s);
     }
   };
 
-  // Dispatch bookkeeping (strand-private): each job goes to the worker
-  // with the fewest jobs in flight, the lowest index on ties.
-  std::vector<std::size_t> slot_worker(window, 0);
-  std::vector<std::size_t> load(jobs, 0);
-  std::vector<bool> ready(window, false);
   const auto dispatch = [&](const fuzz::FuzzJob& job) {
     const std::size_t s = strand.slot(job.iteration);
-    std::size_t w = 0;
-    for (std::size_t i = 1; i < jobs; ++i) {
-      if (load[i] < load[w]) w = i;
-    }
-    slot_worker[s] = w;
-    ++load[w];
     slots[s].job = job;
-    if (!job_queues[w]->push(static_cast<std::uint32_t>(s))) {
-      throw std::logic_error("pipeline job queue overflow (window bug)");
-    }
+    job_queue.push(s);
   };
 
   // Merge every contiguous ready iteration, refilling the window after
   // each merge (the freed slot is exactly the one the drawn job maps
   // to). False once the campaign stops or pauses.
+  std::vector<bool> ready(window, false);
   const auto merge_ready = [&] {
     while (strand.in_flight() > 0) {
       const std::size_t s = strand.slot(strand.oldest().iteration);
       if (!ready[s]) return true;
       ready[s] = false;
-      --load[slot_worker[s]];
       strand.merge(slots[s].result);
       if (strand.stopped()) return false;
       if (const fuzz::FuzzJob* job = strand.draw()) dispatch(*job);
@@ -807,7 +780,7 @@ void Session::run_window(MergeStrand& strand, std::size_t jobs) {
   };
 
   std::vector<std::thread> threads;
-  std::exception_ptr strand_error;
+  std::exception_ptr error;
   try {
     threads.reserve(jobs);
     for (std::size_t w = 0; w < jobs; ++w) {
@@ -815,9 +788,11 @@ void Session::run_window(MergeStrand& strand, std::size_t jobs) {
     }
     strand.fill(dispatch);
     while (strand.in_flight() > 0) {
-      std::uint32_t s = 0;
+      std::size_t s = 0;
       const auto r0 = Clock::now();
-      if (!completed.pop_wait(s)) break;  // unreachable: never closed
+      // Never closed: some in-flight job is queued or running, so a
+      // completion is always coming.
+      completed.pop(s);
       const auto r1 = Clock::now();
       const std::uint64_t d = to_ns(r1 - r0);
       o.result_wait.add(lane, d);
@@ -825,28 +800,31 @@ void Session::run_window(MergeStrand& strand, std::size_t jobs) {
       if (tracer != nullptr) {
         tracer->record(lane, "result_wait", "pipeline", r0, r1);
       }
-      if (s == kErrorSignal) break;
+      if (slots[s].error) {
+        error = slots[s].error;  // a worker failed
+        break;
+      }
       ready[s] = true;
       if (!merge_ready()) break;
     }
   } catch (...) {
     // An observer, stop condition or frontier sink threw on the strand.
-    strand_error = std::current_exception();
+    error = std::current_exception();
   }
 
   // Shutdown, on every exit path (completion, stop, pause, a worker or
-  // strand failure): close the queues — workers finish what is already
-  // queued (at most one window across all of them) and exit; leftover
-  // completions are drained and discarded, leaving the merged result
-  // exactly at the stopping iteration. Only then may an error unwind
-  // past the workers' stack-held state.
-  for (auto& queue : job_queues) queue->close();
-  for (auto& t : threads) t.join();
-  std::uint32_t s = 0;
-  while (completed.pop(s)) {
+  // strand failure): close the job queue and discard the jobs no worker
+  // has started — they are still in the strand's in-flight list, which
+  // a pause frontier re-issues — then join the workers, each finishing
+  // at most the job in hand. The merged result stays exactly at the
+  // stopping iteration. Only then may an error unwind past the slots
+  // the workers write.
+  job_queue.close();
+  std::size_t unstarted = 0;
+  while (job_queue.try_pop(unstarted)) {
   }
-  if (strand_error) std::rethrow_exception(strand_error);
-  if (worker_error) std::rethrow_exception(worker_error);
+  for (auto& t : threads) t.join();
+  if (error) std::rethrow_exception(error);
 }
 
 void Session::write_trace() const {

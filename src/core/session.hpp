@@ -43,8 +43,9 @@
 // resolved worker count: jobs == 1 runs the definitional serial loop
 // (simulate the oldest in-flight job on the caller thread, merge it, draw
 // its replacement); jobs >= 2 runs the sliding-window executor, whose
-// `jobs` worker threads, each owning a private sim::Simulator, simulate
-// and analyze the window concurrently with no batch barrier.
+// `jobs` worker threads, each owning a private sim::Simulator, pull jobs
+// from one shared queue and simulate and analyze the window concurrently
+// with no batch barrier.
 //
 // Determinism contract (sliding-window feedback): job k is generated
 // from the merged campaign state through iteration k - batch_size (the
@@ -173,7 +174,7 @@ struct alignas(64) PipelineWorkerStats {
 struct PipelineStats {
   double generate_seconds = 0;     ///< scheduler/fuzzer job generation
   double merge_seconds = 0;        ///< in-order merging + observers
-  double result_wait_seconds = 0;  ///< merger parked on the completion ring
+  double result_wait_seconds = 0;  ///< merger parked on the completion queue
   double vcd_seconds = 0;          ///< deferred waveform drain (vcd_out)
   std::vector<PipelineWorkerStats> workers;  ///< one entry per worker
 };

@@ -81,13 +81,6 @@ FuzzJob Fuzzer::next_job() {
   return job;
 }
 
-std::vector<FuzzJob> Fuzzer::next_batch(std::size_t count) {
-  std::vector<FuzzJob> batch;
-  batch.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) batch.push_back(next_job());
-  return batch;
-}
-
 riscv::Program Fuzzer::generate() {
   if (!pending_seeds_.empty()) {
     Seed s = std::move(pending_seeds_.back());

@@ -95,11 +95,10 @@ struct FuzzerState {
 /// next test input, and accepts interestingness feedback from the
 /// coverage/vulnerability components.
 ///
-/// Batch generation (next_batch) draws every program in the batch from the
-/// corpus state at the start of the batch; feedback reported afterwards
-/// (report_interesting with an explicit iteration) lands before the next
-/// batch is drawn. With a batch size of 1 this degenerates to the classic
-/// generate → simulate → feed-back loop.
+/// Each job is drawn from the corpus as it stands at the draw; feedback
+/// reported afterwards (report_interesting with an explicit iteration)
+/// shapes only later draws. A campaign keeping one job in flight is the
+/// classic generate → simulate → feed-back loop.
 class Fuzzer {
  public:
   Fuzzer(const FuzzerOptions& options, std::uint64_t rng_seed);
@@ -107,19 +106,15 @@ class Fuzzer {
   /// Produce the next test input (seed replay first, then mutations).
   riscv::Program next();
 
-  /// Produce the next test input as a campaign job (the single-job form
-  /// the sliding-window executor draws from). Consumes the same RNG
-  /// stream as one call to next().
+  /// Produce the next test input as a campaign job (what the campaign
+  /// scheduler draws). Consumes the same RNG stream as one call to
+  /// next().
   FuzzJob next_job();
-
-  /// Produce the next `count` test inputs as campaign jobs. Exactly
-  /// `count` next_job() draws — same stream, same jobs.
-  std::vector<FuzzJob> next_batch(std::size_t count);
 
   /// Feedback: the input was interesting (new coverage / vulnerability) —
   /// keep it in the corpus. The overload without an iteration stamps the
-  /// entry with the current iteration (serial-loop usage); batch merging
-  /// passes the iteration the program actually ran as.
+  /// entry with the current iteration (serial-loop usage); the campaign
+  /// merger passes the iteration the program actually ran as.
   void report_interesting(const riscv::Program& program);
   void report_interesting(const riscv::Program& program,
                           std::uint64_t iteration);

@@ -51,8 +51,7 @@ void TraceRecorder::set_lane_name(std::size_t lane, std::string name) {
 
 void TraceRecorder::record(std::size_t lane, const char* name,
                            const char* category, Clock::time_point begin,
-                           Clock::time_point end, std::uint64_t iteration,
-                           TraceArg arg) {
+                           Clock::time_point end, std::uint64_t iteration) {
   if (lane >= lanes_.size()) return;
   Lane& l = lanes_[lane];
   TraceEvent& e = l.ring[l.recorded % l.ring.size()];
@@ -72,7 +71,6 @@ void TraceRecorder::record(std::size_t lane, const char* name,
   const std::uint64_t end_ns = clamp_ns(end);
   e.dur_ns = end_ns > e.ts_ns ? end_ns - e.ts_ns : 0;
   e.iteration = iteration;
-  e.arg = arg;
 }
 
 std::size_t TraceRecorder::size() const {
@@ -127,18 +125,8 @@ void TraceRecorder::write_chrome_trace(std::ostream& out) const {
           << ", \"name\": \"" << escape(e.name ? e.name : "")
           << "\", \"cat\": \"" << escape(e.category ? e.category : "")
           << "\", \"ts\": " << us(e.ts_ns) << ", \"dur\": " << us(e.dur_ns)
-          << ", \"args\": {";
-      bool first_arg = true;
-      const auto arg = [&](const char* name, std::int64_t value) {
-        if (!first_arg) out << ", ";
-        first_arg = false;
-        out << "\"" << escape(name) << "\": " << value;
-      };
-      arg("worker", static_cast<std::int64_t>(e.lane));
-      if (e.iteration != 0) {
-        arg("iteration", static_cast<std::int64_t>(e.iteration));
-      }
-      if (e.arg.name != nullptr) arg(e.arg.name, e.arg.value);
+          << ", \"args\": {\"worker\": " << e.lane;
+      if (e.iteration != 0) out << ", \"iteration\": " << e.iteration;
       out << "}}";
     }
   }

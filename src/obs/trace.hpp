@@ -23,13 +23,6 @@
 
 namespace specure::obs {
 
-/// One optional integer argument attached to a span (rendered into the
-/// trace event's "args" object). `name` must be a string literal.
-struct TraceArg {
-  const char* name = nullptr;
-  std::int64_t value = 0;
-};
-
 struct TraceEvent {
   const char* name = nullptr;      ///< literal
   const char* category = nullptr;  ///< literal, e.g. "pipeline"
@@ -37,7 +30,6 @@ struct TraceEvent {
   std::uint64_t ts_ns = 0;   ///< begin, nanoseconds since recorder epoch
   std::uint64_t dur_ns = 0;
   std::uint64_t iteration = 0;  ///< campaign iteration; 0 = untagged
-  TraceArg arg;
 };
 
 class TraceRecorder {
@@ -57,7 +49,7 @@ class TraceRecorder {
   /// different lanes may record concurrently.
   void record(std::size_t lane, const char* name, const char* category,
               Clock::time_point begin, Clock::time_point end,
-              std::uint64_t iteration = 0, TraceArg arg = {});
+              std::uint64_t iteration = 0);
 
   /// Events currently retained / dropped to ring overwrite, across lanes.
   std::size_t size() const;

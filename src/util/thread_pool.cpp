@@ -1,111 +1,85 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+
 namespace specure::util {
 
-ThreadPool::ThreadPool(std::size_t contexts)
-    : contexts_(contexts == 0 ? 1 : contexts) {
-  threads_.reserve(contexts_ - 1);
-  slots_.reserve(contexts_ - 1);
-  for (std::size_t c = 1; c < contexts_; ++c) {
-    slots_.push_back(std::make_unique<WorkerSlot>());
-  }
-  for (std::size_t c = 1; c < contexts_; ++c) {
-    threads_.emplace_back([this, c] { worker_main(c); });
-  }
-}
+namespace {
 
-ThreadPool::~ThreadPool() {
-  for (auto& slot : slots_) {
-    {
-      std::lock_guard<std::mutex> lk(slot->mu);
-      slot->shutdown = true;
-    }
-    slot->cv.notify_one();
-  }
-  for (auto& t : threads_) t.join();
-}
+/// One parallel_for call, on the caller's stack. The caller returns only
+/// after every helper it enlisted reported on `finished`, so no closure
+/// outlives it.
+struct Batch {
+  Batch(const std::function<void(std::size_t, std::size_t)>& f,
+        std::size_t n)
+      : fn(f), tasks(n) {}
 
-void ThreadPool::run_tasks(
-    const std::function<void(std::size_t, std::size_t)>& fn,
-    std::size_t context) {
+  const std::function<void(std::size_t, std::size_t)>& fn;
+  const std::size_t tasks;
+  std::atomic<std::size_t> next{0};  ///< the dynamic task cursor
+  std::atomic<bool> failed{false};
+  /// Written once, by the task that set `failed`; read by the caller
+  /// after `finished` ordered every helper's writes before it.
+  std::exception_ptr error;
+  WorkQueue<std::size_t> finished;  ///< one entry per enlisted helper
+};
+
+/// Claim and run tasks of `batch` on `context` until none are left.
+void run_tasks(Batch& batch, std::size_t context) {
   for (;;) {
-    // Claiming needs only the RMW's atomicity; the acquire fence orders
-    // the claim before the task body touches shared task data.
-    const std::size_t task = next_task_.fetch_add(1,
-                                                  std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (task >= task_count_) return;
+    // Tasks are independent and the batch was published by the queue's
+    // mutex, so claiming needs only the RMW's atomicity.
+    const std::size_t task = batch.next.fetch_add(1, std::memory_order_relaxed);
+    if (task >= batch.tasks) return;
     try {
-      fn(task, context);
+      batch.fn(task, context);
     } catch (...) {
-      {
-        std::lock_guard<std::mutex> lk(done_mu_);
-        if (!error_) error_ = std::current_exception();
-      }
-      // Abandon unclaimed tasks: park the cursor past the end.
-      next_task_.store(task_count_, std::memory_order_relaxed);
+      if (!batch.failed.exchange(true)) batch.error = std::current_exception();
+      // Abandon unclaimed tasks: park the cursor at the end.
+      batch.next.store(batch.tasks, std::memory_order_relaxed);
       return;
     }
   }
 }
 
-void ThreadPool::worker_main(std::size_t context) {
-  WorkerSlot& slot = *slots_[context - 1];
-  std::uint64_t seen_generation = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(slot.mu);
-      slot.cv.wait(lk, [&] {
-        return slot.shutdown || slot.generation != seen_generation;
-      });
-      if (slot.shutdown) return;
-      seen_generation = slot.generation;
-    }
-    // fn_/task_count_ were written before the generation bump and are
-    // published to this worker by slot.mu.
-    run_tasks(*fn_, context);
-    {
-      std::lock_guard<std::mutex> lk(done_mu_);
-      if (active_workers_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        done_cv_.notify_one();
-      }
-    }
+}  // namespace
+
+ThreadPool::ThreadPool(std::size_t contexts)
+    : contexts_(contexts == 0 ? 1 : contexts) {
+  threads_.reserve(contexts_ - 1);
+  for (std::size_t c = 1; c < contexts_; ++c) {
+    threads_.emplace_back([this, c] {
+      std::function<void(std::size_t)> job;
+      while (queue_.pop(job)) job(c);
+    });
   }
+}
+
+ThreadPool::~ThreadPool() {
+  queue_.close();
+  for (auto& t : threads_) t.join();
 }
 
 void ThreadPool::parallel_for(
     std::size_t tasks,
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (tasks == 0) return;
-  if (threads_.empty()) {
-    for (std::size_t t = 0; t < tasks; ++t) fn(t, 0);
-    return;
+  Batch batch(fn, tasks);
+  // The caller takes tasks too, so more than tasks - 1 helpers could
+  // only find the cursor exhausted.
+  const std::size_t helpers = std::min(threads_.size(), tasks - 1);
+  for (std::size_t h = 0; h < helpers; ++h) {
+    queue_.push([&batch](std::size_t context) {
+      run_tasks(batch, context);
+      batch.finished.push(context);
+    });
   }
-  fn_ = &fn;
-  task_count_ = tasks;
-  next_task_.store(0, std::memory_order_relaxed);
-  error_ = nullptr;
-  active_workers_.store(threads_.size(), std::memory_order_relaxed);
-  // Per-worker wakeup: each slot's mutex publishes the batch descriptor
-  // to its worker; no shared lock, no broadcast stampede.
-  for (auto& slot : slots_) {
-    {
-      std::lock_guard<std::mutex> lk(slot->mu);
-      ++slot->generation;
-    }
-    slot->cv.notify_one();
-  }
-  run_tasks(fn, 0);  // the caller is context 0
-  std::unique_lock<std::mutex> lk(done_mu_);
-  done_cv_.wait(lk, [&] {
-    return active_workers_.load(std::memory_order_acquire) == 0;
-  });
-  fn_ = nullptr;
-  if (error_) {
-    const std::exception_ptr error = error_;
-    error_ = nullptr;
-    std::rethrow_exception(error);
-  }
+  run_tasks(batch, 0);  // the caller is context 0
+  std::size_t helper = 0;
+  for (std::size_t h = 0; h < helpers; ++h) batch.finished.pop(helper);
+  if (batch.error) std::rethrow_exception(batch.error);
 }
 
 }  // namespace specure::util

@@ -7,27 +7,18 @@
 // to index per-thread scratch state (e.g. one simulator per context).
 //
 // The calling thread participates as context 0, so a pool with
-// contexts() == 1 spawns no threads and runs everything inline — the
-// serial path has zero synchronisation overhead and is byte-for-byte the
-// plain loop.
-//
-// Wakeup and completion are per-worker: each worker parks on its own
-// cache-line-sized slot (mutex + cv + generation) instead of one shared
-// mutex with a broadcast, so kicking off a batch is N uncontended
-// lock/notify pairs rather than N threads stampeding one lock. The task
-// cursor lives alone on a padded cache line — it is the single hottest
-// word in the pool and previously false-shared with the batch descriptor.
+// contexts() == 1 spawns no threads and runs everything on the caller.
+// The contexts() - 1 background threads drain one WorkQueue of closures:
+// each parallel_for pushes one closure per helper it wants, and a helper
+// that runs it claims tasks until the cursor runs out.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <exception>
+#include <cstddef>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
+
+#include "util/work_queue.hpp"
 
 namespace specure::util {
 
@@ -50,39 +41,11 @@ class ThreadPool {
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
-  /// Per-worker parking slot. alignas(64) keeps one worker's wakeup state
-  /// (and generation scan) off every other worker's cache line.
-  struct alignas(64) WorkerSlot {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::uint64_t generation = 0;  ///< bumped under mu to start a batch
-    bool shutdown = false;
-  };
-
-  void worker_main(std::size_t context);
-  void run_tasks(const std::function<void(std::size_t, std::size_t)>& fn,
-                 std::size_t context);
-
   std::size_t contexts_;
+  /// Closures for the background threads; each runs its closure with
+  /// its own context index.
+  WorkQueue<std::function<void(std::size_t)>> queue_;
   std::vector<std::thread> threads_;
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;  ///< one per thread
-
-  // Batch descriptor: written by the caller before the generation bump
-  // (publication happens via each slot's mutex), read-only during a batch.
-  const std::function<void(std::size_t, std::size_t)>* fn_ = nullptr;
-  std::size_t task_count_ = 0;
-
-  /// The dynamic task cursor — the only cross-thread word mutated on the
-  /// claim fast path, so it gets a cache line of its own (it used to
-  /// share one with task_count_/fn_, putting every claim's RFO in front
-  /// of every other worker's read of the batch descriptor).
-  alignas(64) std::atomic<std::size_t> next_task_{0};
-  alignas(64) std::atomic<std::size_t> active_workers_{0};
-
-  // Completion + error channel (cold: touched once per batch per worker).
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
-  std::exception_ptr error_;
 };
 
 }  // namespace specure::util

@@ -170,27 +170,25 @@ TEST(ThreadPool, RunsEveryTaskExactlyOnceAndPropagatesErrors) {
   EXPECT_EQ(count.load(), 5);
 }
 
-TEST(FuzzerBatch, BatchStreamMatchesSerialStream) {
+TEST(FuzzerJobs, JobStreamMatchesSerialStream) {
   fuzz::FuzzerOptions fopts;
   fuzz::Fuzzer serial(fopts, 9);
-  fuzz::Fuzzer batched(fopts, 9);
+  CampaignScheduler scheduler(fopts, 9, 12);
   std::vector<riscv::Program> expect;
   for (int i = 0; i < 12; ++i) expect.push_back(serial.next());
-  const auto batch1 = batched.next_batch(5);
-  const auto batch2 = batched.next_batch(7);
-  ASSERT_EQ(batch1.size(), 5u);
-  ASSERT_EQ(batch2.size(), 7u);
-  std::vector<fuzz::FuzzJob> all(batch1);
-  all.insert(all.end(), batch2.begin(), batch2.end());
+  std::vector<fuzz::FuzzJob> all;
+  fuzz::FuzzJob job;
+  while (scheduler.next_job(job)) all.push_back(job);
+  ASSERT_EQ(all.size(), 12u);  // the budget caps the draws
+  EXPECT_TRUE(scheduler.exhausted());
   for (std::size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(all[i].iteration, i + 1);
     EXPECT_EQ(all[i].program.code, expect[i].code);
   }
   // Per-iteration seeds are distinct and reproducible.
   fuzz::Fuzzer replay(fopts, 9);
-  const auto again = replay.next_batch(12);
   for (std::size_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(all[i].rng_seed, again[i].rng_seed);
+    EXPECT_EQ(all[i].rng_seed, replay.next_job().rng_seed);
     if (i > 0) EXPECT_NE(all[i].rng_seed, all[i - 1].rng_seed);
   }
 }

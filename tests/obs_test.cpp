@@ -161,7 +161,7 @@ TEST(ObsTrace, ChromeTraceIsWellFormedJson) {
   rec.record(0, "execute", "pipeline", t0, t1, 7);
   rec.record(1, "merge", "pipeline", t1, t1 + std::chrono::microseconds(3),
              7);
-  rec.record(1, "generate", "pipeline", t0, t1, 8, {"assigned_worker", 0});
+  rec.record(1, "vcd_drain", "pipeline", t0, t1);  // untagged
   EXPECT_EQ(rec.size(), 3u);
   EXPECT_EQ(rec.dropped(), 0u);
 
@@ -175,7 +175,7 @@ TEST(ObsTrace, ChromeTraceIsWellFormedJson) {
   // process_name + 2 thread-name metadata records + 3 spans.
   ASSERT_EQ(events->items.size(), 6u);
   std::size_t spans = 0;
-  bool saw_args = false;
+  std::size_t tagged = 0;
   for (const serve::Json& e : events->items) {
     const serve::Json* ph = e.find("ph");
     ASSERT_NE(ph, nullptr);
@@ -185,13 +185,22 @@ TEST(ObsTrace, ChromeTraceIsWellFormedJson) {
       EXPECT_NE(e.find("cat"), nullptr);
       EXPECT_NE(e.find("ts"), nullptr);
       EXPECT_NE(e.find("dur"), nullptr);
-      if (const serve::Json* args = e.find("args")) {
-        if (args->find("assigned_worker") != nullptr) saw_args = true;
+      // Every span names its lane; tagged spans carry their iteration.
+      const serve::Json* args = e.find("args");
+      ASSERT_NE(args, nullptr);
+      const serve::Json* worker = args->find("worker");
+      const serve::Json* tid = e.find("tid");
+      ASSERT_NE(worker, nullptr);
+      ASSERT_NE(tid, nullptr);
+      EXPECT_EQ(worker->number, tid->number);
+      if (const serve::Json* iteration = args->find("iteration")) {
+        ++tagged;
+        EXPECT_EQ(iteration->number, 7.0);
       }
     }
   }
   EXPECT_EQ(spans, 3u);
-  EXPECT_TRUE(saw_args);
+  EXPECT_EQ(tagged, 2u);  // the vcd_drain span is untagged
 }
 
 TEST(ObsTrace, RingOverwritesOldestAndReportsDrops) {

@@ -1,13 +1,15 @@
 // Differential coverage for the pipelined sliding-window campaign
-// executor (core/session.cpp) and its lock-free plumbing (util/ring.hpp,
-// util/atomic_bitset.hpp).
+// executor (core/session.cpp) and its plumbing: the shared job and
+// completion queues (util/work_queue.hpp) and the covered shadow
+// (util/atomic_bitset.hpp).
 //
 // The contract under test: the window executor (jobs >= 2) and the
 // definitional serial loop (jobs == 1) implement the same generation
 // schedule — job k is generated from merged state through iteration
 // k - batch_size — so their CampaignResults are bit-identical for every
 // worker count, under adversarial worker timing, and across mid-window
-// stops. The serial loop is the oracle.
+// stops. The serial loop is the oracle. Workers pull from one shared
+// queue, so an idle worker never waits while a job sits queued.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,7 +23,7 @@
 #include "campaign_equal.hpp"
 #include "core/session.hpp"
 #include "util/atomic_bitset.hpp"
-#include "util/ring.hpp"
+#include "util/work_queue.hpp"
 
 namespace specure::core {
 namespace {
@@ -89,6 +91,32 @@ TEST(Pipeline, InOrderMergeUnderAdversarialWorkerDelays) {
   expect_identical(reference, delayed.run());
 }
 
+TEST(Pipeline, IdleWorkerTakesQueuedJobWhileAnotherIsBusy) {
+  // Job 1 holds its worker until all 16 jobs of the first window have
+  // started, or for at most 5 s. The other worker must take jobs 2..16
+  // meanwhile; a job stranded behind job 1 in a queue only that worker
+  // serves could not start before the hold timed out.
+  Session session(make_spec("default", 2, 32, 7));
+  constexpr std::uint64_t kWindow = 16;
+  std::atomic<std::uint64_t> started{0};
+  std::atomic<std::uint64_t> started_during_hold{0};
+  session.set_test_job_delay([&](const fuzz::FuzzJob& job, std::size_t) {
+    if (job.iteration <= kWindow) started.fetch_add(1);
+    if (job.iteration != 1) return;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (started.load() < kWindow &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    started_during_hold.store(started.load());
+  });
+  const CampaignResult result = session.run();
+  EXPECT_EQ(started_during_hold.load(), kWindow)
+      << "first-window jobs sat queued while job 1 held its worker";
+  expect_identical(run_campaign("default", 1, 32, 7), result);
+}
+
 TEST(Pipeline, StopConditionMidWindowIsConsistentAcrossExecutors) {
   // A stop that fires mid-window (7 merges into a 16-wide window) must
   // leave both executors at exactly the same campaign state.
@@ -135,6 +163,19 @@ TEST(Pipeline, MergeStrandExceptionPropagatesAtEveryJobsCount) {
   }
 }
 
+TEST(Pipeline, WorkerExceptionPropagatesAtEveryJobsCount) {
+  // A job that throws on a worker thread travels back in its slot and
+  // is rethrown on the caller after the workers joined.
+  for (const std::size_t jobs : {1u, 2u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    Session session(make_spec("default", jobs, 200, 7));
+    session.set_test_job_delay([](const fuzz::FuzzJob& job, std::size_t) {
+      if (job.iteration == 20) throw std::runtime_error("simulate failed");
+    });
+    EXPECT_EQ(error_of_run(session), "simulate failed");
+  }
+}
+
 TEST(Pipeline, PipelineStatsCoverEveryJob) {
   Session session(make_spec("default", 2, 48, 7));
   session.run();
@@ -148,92 +189,98 @@ TEST(Pipeline, PipelineStatsCoverEveryJob) {
             0.0);
 }
 
-// ---------------------------------------------------------------- rings --
+// ----------------------------------------------------------- work queue --
 
-TEST(SpscRing, FifoOrderAndWrapAround) {
-  util::SpscRing<std::uint32_t> ring(4);
-  for (int round = 0; round < 10; ++round) {  // wrap several times
-    for (std::uint32_t i = 0; i < 4; ++i) {
-      EXPECT_TRUE(ring.push(round * 4 + i));
-    }
-    std::uint32_t out = 0;
-    for (std::uint32_t i = 0; i < 4; ++i) {
-      ASSERT_TRUE(ring.pop(out));
-      EXPECT_EQ(out, static_cast<std::uint32_t>(round * 4 + i));
-    }
-    EXPECT_FALSE(ring.pop(out));  // empty again
+TEST(WorkQueue, FifoOrder) {
+  util::WorkQueue<std::uint32_t> queue;
+  for (std::uint32_t i = 0; i < 100; ++i) queue.push(i);
+  std::uint32_t out = 0;
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(queue.try_pop(out));
+    EXPECT_EQ(out, i);
   }
+  EXPECT_FALSE(queue.try_pop(out));  // empty again
+  // Interleaved pushes and blocking pops keep arrival order too.
+  queue.push(7);
+  queue.push(8);
+  ASSERT_TRUE(queue.pop(out));
+  EXPECT_EQ(out, 7u);
+  queue.push(9);
+  ASSERT_TRUE(queue.pop(out));
+  EXPECT_EQ(out, 8u);
+  ASSERT_TRUE(queue.pop(out));
+  EXPECT_EQ(out, 9u);
 }
 
-TEST(SpscRing, PopWaitDrainsAfterClose) {
-  util::SpscRing<std::uint32_t> ring(8);
-  EXPECT_TRUE(ring.push(1));
-  EXPECT_TRUE(ring.push(2));
-  ring.close();
+TEST(WorkQueue, PopDrainsAfterCloseThenReturnsFalse) {
+  util::WorkQueue<std::uint32_t> queue;
+  queue.push(1);
+  queue.push(2);
+  queue.close();
   std::uint32_t out = 0;
-  ASSERT_TRUE(ring.pop_wait(out));  // closed but not drained
+  ASSERT_TRUE(queue.pop(out));  // closed but not drained
   EXPECT_EQ(out, 1u);
-  ASSERT_TRUE(ring.pop_wait(out));
+  ASSERT_TRUE(queue.pop(out));
   EXPECT_EQ(out, 2u);
-  EXPECT_FALSE(ring.pop_wait(out));  // closed and drained: returns, no hang
-}
+  EXPECT_FALSE(queue.pop(out));  // closed and drained: returns, no hang
+  EXPECT_FALSE(queue.try_pop(out));
 
-TEST(SpscRing, ThreadedProducerConsumer) {
-  constexpr std::uint32_t kItems = 50000;
-  util::SpscRing<std::uint32_t> ring(64);
-  std::thread producer([&ring] {
-    for (std::uint32_t i = 0; i < kItems; ++i) {
-      while (!ring.push(i)) std::this_thread::yield();
-    }
-    ring.close();
+  // A consumer already blocked on an empty queue wakes on close().
+  util::WorkQueue<std::uint32_t> idle;
+  std::atomic<bool> returned{false};
+  std::thread consumer([&] {
+    std::uint32_t value = 0;
+    EXPECT_FALSE(idle.pop(value));
+    returned.store(true);
   });
-  std::uint32_t expected = 0;
-  std::uint32_t out = 0;
-  while (ring.pop_wait(out)) {
-    ASSERT_EQ(out, expected);  // SPSC must preserve order exactly
-    ++expected;
-  }
-  producer.join();
-  EXPECT_EQ(expected, kItems);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_FALSE(returned.load());
+  idle.close();
+  consumer.join();
+  EXPECT_TRUE(returned.load());
 }
 
-TEST(MpscRing, ThreadedProducersAllItemsArriveOnce) {
+TEST(WorkQueue, ProducersAndConsumersDeliverEveryItemExactlyOnce) {
   constexpr std::size_t kProducers = 4;
+  constexpr std::size_t kConsumers = 3;
   constexpr std::uint32_t kPerProducer = 20000;
-  util::MpscRing<std::uint32_t> ring(128);
+  util::WorkQueue<std::uint32_t> queue;
+  std::vector<std::vector<std::uint32_t>> received(kConsumers);
+  std::vector<std::thread> consumers;
+  for (std::size_t c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&queue, &received, c] {
+      std::uint32_t value = 0;
+      while (queue.pop(value)) received[c].push_back(value);
+    });
+  }
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ring, p] {
+    producers.emplace_back([&queue, p] {
       for (std::uint32_t i = 0; i < kPerProducer; ++i) {
-        const auto value =
-            static_cast<std::uint32_t>(p * kPerProducer + i);
-        while (!ring.push(value)) std::this_thread::yield();
+        queue.push(static_cast<std::uint32_t>(p * kPerProducer + i));
       }
     });
   }
-  std::vector<std::uint8_t> seen(kProducers * kPerProducer, 0);
-  std::size_t received = 0;
-  std::uint32_t out = 0;
-  while (received < kProducers * kPerProducer) {
-    if (!ring.pop_wait(out)) break;
-    ASSERT_LT(out, seen.size());
-    ASSERT_EQ(seen[out], 0) << "duplicate delivery of " << out;
-    seen[out] = 1;
-    ++received;
-  }
   for (auto& t : producers) t.join();
-  EXPECT_EQ(received, kProducers * kPerProducer);
-}
+  queue.close();
+  for (auto& t : consumers) t.join();
 
-TEST(MpscRing, PushReportsFull) {
-  util::MpscRing<std::uint32_t> ring(2);
-  EXPECT_TRUE(ring.push(1));
-  EXPECT_TRUE(ring.push(2));
-  EXPECT_FALSE(ring.push(3));  // full: reports instead of overwriting
-  std::uint32_t out = 0;
-  ASSERT_TRUE(ring.pop(out));
-  EXPECT_EQ(out, 1u);
-  EXPECT_TRUE(ring.push(3));  // slot freed
+  std::vector<std::uint8_t> seen(kProducers * kPerProducer, 0);
+  std::size_t total = 0;
+  for (const std::vector<std::uint32_t>& items : received) {
+    // FIFO: each consumer sees every producer's items in push order.
+    std::vector<std::int64_t> last(kProducers, -1);
+    for (const std::uint32_t value : items) {
+      ASSERT_LT(value, seen.size());
+      ASSERT_EQ(seen[value], 0) << "duplicate delivery of " << value;
+      seen[value] = 1;
+      ++total;
+      const std::size_t p = value / kPerProducer;
+      ASSERT_GT(static_cast<std::int64_t>(value), last[p]);
+      last[p] = value;
+    }
+  }
+  EXPECT_EQ(total, kProducers * kPerProducer);
 }
 
 TEST(AtomicBitset, SetTestClear) {

@@ -293,9 +293,9 @@ TEST(Triage, ReplayProgramIsServedAsIterationOne) {
   fuzz::FuzzerOptions options;
   options.replay_program_hex = replay.to_hex();
   fuzz::Fuzzer fuzzer(options, 7);
-  const auto batch = fuzzer.next_batch(1);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].program, replay);
+  const fuzz::FuzzJob first = fuzzer.next_job();
+  EXPECT_EQ(first.iteration, 1u);
+  EXPECT_EQ(first.program, replay);
 
   CampaignSpec spec;
   spec.fuzzer.replay_program_hex = replay.to_hex();

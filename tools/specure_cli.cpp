@@ -21,8 +21,6 @@
 //   specure presets [--keys]
 //       List the named scenario presets (and, with --keys, every
 //       key=value override the spec layer accepts).
-//   specure fuzz [--iters N] [--seed S] ...   (deprecated: use `run`)
-//       The pre-spec flat-flag interface, kept for one release.
 //   specure offline [--mwait] [--zenbleed] [--dot FILE] [--verilog FILE]
 //       Run the offline phase on MiniBOOM; print IFG/PDLC statistics.
 //   specure audit FILE.v --top MODULE [--dot FILE]
@@ -220,7 +218,7 @@ void attach_console_observers(core::Session& session, bool quiet) {
   });
 }
 
-/// Shared tail of run/fuzz: text report, optional JSON, exit code.
+/// The tail of `run`: text report, --stats block, JSON, exit code.
 int report_and_exit_code(const core::CampaignResult& result,
                          const core::CampaignSpec& spec,
                          const core::Session& session, const Args& args) {
@@ -649,46 +647,6 @@ int cmd_presets(const Args& args) {
   return kExitOk;
 }
 
-const std::vector<FlagDef> kFuzzFlags = {
-    {"--iters", true, "iteration budget"},
-    {"--seed", true, "campaign RNG seed"},
-    {"--mwait", false, "arm the (M)WAIT emulation"},
-    {"--zenbleed", false, "arm the Zenbleed emulation"},
-    {"--monitor-cache", false, "add the data cache to the monitored sinks"},
-    {"--feedback", true, "feedback mode: lp | codecov"},
-    {"--jobs", true, "worker threads, 0 = all hardware"},
-    {"--batch", true, "batch size"},
-    {"--stop-after-vulns", true, "stop after N distinct findings"},
-    {"--json", true, "write the JSON report to FILE"},
-    {"--no-special-seeds", false, "disable the §3.2 transient-window seeds"},
-    {"--quiet", false, "suppress the progress feed"},
-    {"--stats", false, "print per-stage pipeline timing after the campaign"},
-};
-
-int cmd_fuzz(const Args& args) {
-  std::fprintf(stderr,
-               "note: `specure fuzz` is deprecated; use `specure run` "
-               "(same behaviour, declarative specs)\n");
-  core::CampaignSpec spec;
-  spec.name = "fuzz";
-  spec.budget.iterations = 1000;
-  spec.core.vuln.mwait_emulation = args.has("--mwait");
-  spec.core.vuln.zenbleed_emulation = args.has("--zenbleed");
-  spec.detector.monitor_cache = args.has("--monitor-cache");
-  spec.fuzzer.use_special_seeds = !args.has("--no-special-seeds");
-  if (args.has("--feedback")) spec.set("feedback", args.get("--feedback"));
-  if (args.has("--stop-after-vulns")) {
-    spec.set("max_vulns", args.get("--stop-after-vulns"));
-  }
-  apply_common_overrides(spec, args);
-  spec.validate();
-
-  core::Session session(spec);
-  attach_console_observers(session, args.has("--quiet"));
-  const core::CampaignResult result = session.run();
-  return report_and_exit_code(result, spec, session, args);
-}
-
 const std::vector<FlagDef> kOfflineFlags = {
     {"--mwait", false, "arm the (M)WAIT emulation"},
     {"--zenbleed", false, "arm the Zenbleed emulation"},
@@ -1056,7 +1014,6 @@ const std::vector<CommandDef>& commands() {
       {"sweep", &kSweepFlags, true, cmd_sweep},
       {"triage", &kTriageFlags, true, cmd_triage},
       {"presets", &kPresetsFlags, false, cmd_presets},
-      {"fuzz", &kFuzzFlags, true, cmd_fuzz},
       {"offline", &kOfflineFlags, false, cmd_offline},
       {"audit", &kAuditFlags, false, cmd_audit},
       {"disasm", nullptr, false, cmd_disasm},
@@ -1076,7 +1033,7 @@ const std::vector<CommandDef>& commands() {
 void usage() {
   std::fprintf(
       stderr,
-      "specure <run|sweep|triage|presets|fuzz|offline|audit|disasm|serve|"
+      "specure <run|sweep|triage|presets|offline|audit|disasm|serve|"
       "submit|status|metrics|events|pause|resume|cancel|shutdown> [options]\n"
       "  run [SPEC.toml] [--preset NAME] [key=value ...] [--iters N]\n"
       "      [--seed S] [--json F] [--save F] [--vcd-out DIR] [--dry-run]\n"
@@ -1087,10 +1044,6 @@ void usage() {
       "  triage REPORT.json|SPEC.toml [--out DIR] [--jobs N] [--json F]\n"
       "      [key=value ...] [--quiet]\n"
       "  presets [--keys]\n"
-      "  fuzz [--iters N] [--seed S] [--mwait] [--zenbleed]\n"
-      "      [--monitor-cache] [--feedback lp|codecov] [--jobs N]\n"
-      "      [--batch B] [--stop-after-vulns K] [--json F]\n"
-      "      [--no-special-seeds] [--quiet]   (deprecated: use `run`)\n"
       "  offline [--mwait] [--zenbleed] [--dot F] [--verilog F]\n"
       "  audit FILE.v --top MODULE [--dot F]\n"
       "  disasm HEXWORD [PC]\n"
