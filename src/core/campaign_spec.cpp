@@ -7,6 +7,7 @@
 #include <limits>
 #include <sstream>
 
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace specure::core {
@@ -402,7 +403,7 @@ std::string CampaignSpec::to_toml() const {
     }
     os << f.key << " = ";
     if (f.quoted) {
-      os << '"' << f.value << '"';
+      os << '"' << util::escape_json(f.value) << '"';
     } else {
       os << f.value;
     }
@@ -417,8 +418,13 @@ namespace {
 std::string_view strip_comment(std::string_view line) {
   bool in_string = false;
   for (std::size_t i = 0; i < line.size(); ++i) {
-    if (line[i] == '"') in_string = !in_string;
-    if (line[i] == '#' && !in_string) return line.substr(0, i);
+    if (in_string && line[i] == '\\') {
+      ++i;  // an escaped character, `\"` included
+    } else if (line[i] == '"') {
+      in_string = !in_string;
+    } else if (line[i] == '#' && !in_string) {
+      return line.substr(0, i);
+    }
   }
   return line;
 }
@@ -480,11 +486,15 @@ CampaignSpec CampaignSpec::from_toml(std::istream& in) {
     }
     const std::string key(util::trim(line.substr(0, eq)));
     std::string value(util::trim(line.substr(eq + 1)));
-    if (value.size() >= 2 && value.front() == '"' && value.back() == '"') {
-      value = value.substr(1, value.size() - 2);
-    } else if (!value.empty() && value.front() == '"') {
-      throw SpecError("line " + std::to_string(line_no) + ": " + key +
-                      ": unterminated string");
+    if (!value.empty() && value.front() == '"') {
+      // A basic string; to_toml writes it with util::escape_json, whose
+      // escapes TOML shares, so the JSON codec decodes it.
+      try {
+        value = util::parse_json(value).text;
+      } catch (const util::JsonError& e) {
+        throw SpecError("line " + std::to_string(line_no) + ": " + key +
+                        ": " + e.reason());
+      }
     }
     if (key == "preset") {
       if (!preset_name.empty()) {

@@ -125,7 +125,8 @@ struct CampaignSpec {
   /// affects the CampaignResult.
   std::string state_out;
   /// Minimum seconds between cadence state writes (state_out). 0 writes
-  /// only the final/pause state. Non-deterministic cadence by nature —
+  /// only the final/pause state (core::state_write_interval maps it to
+  /// the Session's sink interval). Non-deterministic cadence by nature —
   /// but every written state resumes to the same result, so the interval
   /// is wall-clock-only.
   double state_interval = 0;

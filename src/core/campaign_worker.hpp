@@ -91,8 +91,6 @@ class CampaignWorker {
   /// value detaches the worker from any previous registry/recorder.
   void set_observability(const WorkerObservability& hooks);
 
-  const sim::Simulator& simulator() const { return sim_; }
-
  private:
   sim::Simulator sim_;
   LpCoverageMap lp_probe_;  ///< used const-only (probe), never committed

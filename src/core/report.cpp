@@ -1,37 +1,15 @@
 #include "core/report.hpp"
 
-#include <cctype>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
 #include "core/mst.hpp"
 #include "riscv/disasm.hpp"
+#include "util/json.hpp"
 
 namespace specure::core {
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void write_text_report(std::ostream& os, const CampaignResult& result,
                        const CampaignSpec* spec) {
@@ -110,9 +88,9 @@ std::string spec_json(const CampaignSpec& spec) {
   os << "{";
   bool first = true;
   for (const SpecField& f : spec.fields()) {
-    os << (first ? "" : ", ") << '"' << json_escape(f.key) << "\": ";
+    os << (first ? "" : ", ") << '"' << util::escape_json(f.key) << "\": ";
     if (f.quoted) {
-      os << '"' << json_escape(f.value) << '"';
+      os << '"' << util::escape_json(f.value) << '"';
     } else {
       os << f.value;
     }
@@ -143,20 +121,20 @@ void write_json_report(std::ostream& os, const CampaignResult& result,
     const VulnReport& v = result.vulns[i];
     os << (i == 0 ? "" : ",") << "\n    {\"kind\": \""
        << vuln_kind_name(v.kind) << "\", \"key\": \""
-       << json_escape(finding_key(v)) << "\", \"signature\": \""
-       << json_escape(v.signature) << "\", \"program\": \""
+       << util::escape_json(finding_key(v)) << "\", \"signature\": \""
+       << util::escape_json(v.signature) << "\", \"program\": \""
        << v.program.to_hex() << "\", \"cwe\": \""
-       << json_escape(v.cwe) << "\", \"sink\": \""
-       << json_escape(v.sink_signal) << "\", \"before\": " << v.before
+       << util::escape_json(v.cwe) << "\", \"sink\": \""
+       << util::escape_json(v.sink_signal) << "\", \"before\": " << v.before
        << ", \"after\": " << v.after
        << ", \"window\": {\"start\": " << v.window.start_cycle
        << ", \"end\": " << v.window.end_cycle
        << ", \"opener\": \""
-       << json_escape(riscv::disassemble(v.window.inst, v.window.pc))
+       << util::escape_json(riscv::disassemble(v.window.inst, v.window.pc))
        << "\"}, \"root_causes\": [";
     for (std::size_t r = 0; r < v.root_causes.size(); ++r) {
       os << (r == 0 ? "" : ", ") << "\""
-         << json_escape(v.root_causes[r].source_signal) << "\"";
+         << util::escape_json(v.root_causes[r].source_signal) << "\"";
     }
     os << "]}";
   }
@@ -166,7 +144,7 @@ void write_json_report(std::ostream& os, const CampaignResult& result,
     os << (i == 0 ? "" : ",") << "\n    {\"start\": " << w.start_cycle
        << ", \"end\": " << w.end_cycle << ", \"inst\": " << w.inst
        << ", \"readable\": \""
-       << json_escape(riscv::disassemble(w.inst, w.pc)) << "\"}";
+       << util::escape_json(riscv::disassemble(w.inst, w.pc)) << "\"}";
   }
   os << "\n  ],\n  \"history\": [";
   const std::size_t stride =
@@ -193,239 +171,57 @@ std::string json_report(const CampaignResult& result,
   return os.str();
 }
 
-// ------------------------------------------------------------ JSON reader --
-//
-// A small recursive-descent parser for the subset write_json_report
-// emits: objects, arrays, strings with the escapes json_escape produces,
-// numbers, bools, null. Values are held in a flat variant-ish node; only
-// the spec object and the findings array are extracted.
-
-namespace {
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  std::string text;  ///< string payload, or the raw number token
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> members;
-
-  const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::istream& is) : is_(is) {}
-
-  JsonValue parse() {
-    const JsonValue v = value();
-    skip_ws();
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) {
-    throw SpecError("JSON report: " + why);
-  }
-
-  int peek() {
-    skip_ws();
-    return is_.peek();
-  }
-
-  void skip_ws() {
-    while (std::isspace(is_.peek())) is_.get();
-  }
-
-  void expect(char c) {
-    skip_ws();
-    const int got = is_.get();
-    if (got != c) {
-      fail(std::string("expected '") + c + "', got " +
-           (got == EOF ? std::string("end of input")
-                       : "'" + std::string(1, static_cast<char>(got)) + "'"));
-    }
-  }
-
-  JsonValue value() {
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kString;
-        v.text = string();
-        return v;
-      }
-      case 't':
-      case 'f': return boolean();
-      case 'n': return null();
-      default: return number();
-    }
-  }
-
-  JsonValue object() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    expect('{');
-    if (peek() == '}') {
-      is_.get();
-      return v;
-    }
-    for (;;) {
-      std::string key = string();
-      expect(':');
-      v.members.emplace_back(std::move(key), value());
-      if (peek() == ',') {
-        is_.get();
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    expect('[');
-    if (peek() == ']') {
-      is_.get();
-      return v;
-    }
-    for (;;) {
-      v.items.push_back(value());
-      if (peek() == ',') {
-        is_.get();
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      const int c = is_.get();
-      if (c == EOF) fail("unterminated string");
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(static_cast<char>(c));
-        continue;
-      }
-      const int esc = is_.get();
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': {
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const int h = is_.get();
-            if (!std::isxdigit(h)) fail("bad \\u escape");
-            code = code * 16 +
-                   static_cast<unsigned>(
-                       std::isdigit(h) ? h - '0' : std::tolower(h) - 'a' + 10);
-          }
-          // Reports only escape control characters; anything else in the
-          // BMP is passed through byte-wise (good enough for our writer).
-          out.push_back(static_cast<char>(code & 0xff));
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  JsonValue number() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    skip_ws();
-    while (std::isdigit(is_.peek()) || is_.peek() == '-' ||
-           is_.peek() == '+' || is_.peek() == '.' || is_.peek() == 'e' ||
-           is_.peek() == 'E') {
-      v.text.push_back(static_cast<char>(is_.get()));
-    }
-    if (v.text.empty()) fail("expected a value");
-    return v;
-  }
-
-  JsonValue boolean() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kBool;
-    std::string word;
-    while (std::isalpha(is_.peek())) word.push_back(static_cast<char>(is_.get()));
-    if (word == "true") {
-      v.boolean = true;
-    } else if (word == "false") {
-      v.boolean = false;
-    } else {
-      fail("bad literal '" + word + "'");
-    }
-    v.text = word;
-    return v;
-  }
-
-  JsonValue null() {
-    std::string word;
-    while (std::isalpha(is_.peek())) word.push_back(static_cast<char>(is_.get()));
-    if (word != "null") fail("bad literal '" + word + "'");
-    return JsonValue{};
-  }
-
-  std::istream& is_;
-};
-
-/// Render a scalar node back to the text CampaignSpec::set accepts.
-std::string scalar_text(const JsonValue& v) {
-  switch (v.kind) {
-    case JsonValue::Kind::kBool: return v.boolean ? "true" : "false";
-    default: return v.text;
-  }
-}
-
-}  // namespace
-
 ParsedReport parse_json_report(std::istream& is) {
-  const JsonValue root = JsonParser(is).parse();
-  if (root.kind != JsonValue::Kind::kObject) {
+  using util::Json;
+  const std::string text((std::istreambuf_iterator<char>(is)),
+                         std::istreambuf_iterator<char>());
+  Json root;
+  try {
+    root = util::parse_json(text);
+  } catch (const util::JsonError& e) {
+    throw SpecError(std::string("JSON report: ") + e.what());
+  }
+  if (root.kind != Json::Kind::kObject) {
     throw SpecError("JSON report: top level is not an object");
   }
   ParsedReport out;
-  if (const JsonValue* spec = root.find("spec")) {
+  if (const Json* spec = root.find("spec")) {
+    if (spec->kind != Json::Kind::kObject) {
+      throw SpecError("JSON report: spec is not an object");
+    }
     out.has_spec = true;
-    for (const auto& [key, value] : spec->members) {
+    for (std::size_t i = 0; i < spec->keys.size(); ++i) {
+      const std::string& key = spec->keys[i];
+      const Json& value = spec->values[i];
       try {
-        out.spec.set(key, scalar_text(value));
+        // Back to the text CampaignSpec::set accepts: a number's token
+        // as written, so u64 values round-trip exactly.
+        if (value.kind == Json::Kind::kBool) {
+          out.spec.set(key, value.boolean ? "true" : "false");
+        } else if (value.kind == Json::Kind::kString ||
+                   value.kind == Json::Kind::kNumber) {
+          out.spec.set(key, value.text);
+        } else {
+          throw SpecError("expected a string, number or bool");
+        }
       } catch (const SpecError& e) {
         throw SpecError(std::string("JSON report: spec.") + key + ": " +
                         e.what());
       }
     }
   }
-  const JsonValue* findings = root.find("findings");
-  if (findings == nullptr || findings->kind != JsonValue::Kind::kArray) {
+  const Json* findings = root.find("findings");
+  if (findings == nullptr || findings->kind != Json::Kind::kArray) {
     throw SpecError("JSON report: no findings array");
   }
-  for (const JsonValue& f : findings->items) {
-    const JsonValue* signature = f.find("signature");
-    const JsonValue* program = f.find("program");
+  for (const Json& f : findings->items) {
+    const Json* signature = f.find("signature");
+    const Json* program = f.find("program");
     if (signature == nullptr || program == nullptr ||
-        program->text.empty()) {
+        signature->kind != Json::Kind::kString ||
+        program->kind != Json::Kind::kString || program->text.empty()) {
       throw SpecError(
-          "JSON report: finding lacks signature/program fields — "
+          "JSON report: finding lacks string signature/program fields — "
           "regenerate the report with this build (`specure run --json`)");
     }
     ParsedReportFinding finding;

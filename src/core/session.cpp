@@ -213,8 +213,8 @@ class Session::MergeStrand {
 
   CampaignFrontier frontier(bool completed) const;
 
-  /// The completed campaign's tail: announce the final partial window
-  /// and hand the completed frontier to every sink.
+  /// The completed campaign's tail: hand the completed frontier to every
+  /// sink.
   void finish();
 
   const std::vector<PendingWaveform>& pending_vcd() const {
@@ -256,8 +256,6 @@ class Session::MergeStrand {
   std::uint64_t merged_ = 0;
   std::uint64_t last_gain_iteration_ = 0;
   std::uint64_t last_progress_ = 0;
-  std::uint64_t batch_index_ = 0;
-  std::uint64_t merges_since_event_ = 0;
   double prior_seconds_ = 0;
   // Deferred waveform export: confirmed findings are recorded here at
   // merge time and re-simulated after the campaign loop (a re-simulation
@@ -299,8 +297,6 @@ Session::MergeStrand::MergeStrand(Session& session, std::size_t window,
   merged_ = f.merged;
   last_gain_iteration_ = f.last_gain_iteration;
   last_progress_ = f.last_progress;
-  batch_index_ = f.batch_index;
-  merges_since_event_ = f.merges_since_event;
   pending_vcd_ = std::move(f.pending_vcd);
   prior_seconds_ = f.prior_seconds;
 }
@@ -399,16 +395,6 @@ void Session::MergeStrand::merge(WorkerResult& result) {
     if (stop(r)) stopped_ = true;
   }
 
-  // A full window of iterations merged: fire the cadence event (a stop
-  // mid-window leaves the window partially merged, eventless).
-  ++merges_since_event_;
-  if (!stopped_ && merges_since_event_ == window_) {
-    const BatchEvent event{batch_index_++, window_, rec.iteration,
-                           elapsed()};
-    merges_since_event_ = 0;
-    for (const auto& fn : session_.batch_observers_) fn(event);
-  }
-
   const std::uint64_t iteration = job.iteration;
   inflight_.pop_front();
   const auto m1 = Clock::now();
@@ -460,20 +446,12 @@ CampaignFrontier Session::MergeStrand::frontier(bool completed) const {
   f.toggle_bits = merger_.code_coverage().toggle_bits();
   f.last_gain_iteration = last_gain_iteration_;
   f.last_progress = last_progress_;
-  f.batch_index = batch_index_;
-  f.merges_since_event = merges_since_event_;
   f.pending_vcd = pending_vcd_;
   f.prior_seconds = f.result.seconds;
   return f;
 }
 
 void Session::MergeStrand::finish() {
-  const CampaignResult& r = merger_.result();
-  if (!stopped_ && merges_since_event_ > 0 && !r.history.empty()) {
-    const BatchEvent event{batch_index_++, merges_since_event_,
-                           r.history.back().iteration, elapsed()};
-    for (const auto& fn : session_.batch_observers_) fn(event);
-  }
   // A durable state file whose `completed` flag is set is how a
   // restarted daemon (or a --resume of a finished campaign) knows to
   // report the stored result instead of re-running.
@@ -513,11 +491,6 @@ Session& Session::on_vuln(std::function<void(const VulnEvent&)> fn) {
   return *this;
 }
 
-Session& Session::on_batch_merged(std::function<void(const BatchEvent&)> fn) {
-  batch_observers_.push_back(std::move(fn));
-  return *this;
-}
-
 Session& Session::on_finding_minimized(
     std::function<void(const triage::MinimizedEvent&)> fn) {
   minimized_observers_.push_back(std::move(fn));
@@ -543,10 +516,6 @@ void Session::resume_from(CampaignFrontier frontier) {
 
 Session::StopCondition Session::stop_after_iterations(std::uint64_t n) {
   return [n](const CampaignResult& r) { return r.history.size() >= n; };
-}
-
-Session::StopCondition Session::stop_after_vulns(std::size_t n) {
-  return [n](const CampaignResult& r) { return r.vulns.size() >= n; };
 }
 
 Session::StopCondition Session::stop_on_finding(std::string key_substring) {

@@ -8,7 +8,8 @@
 //   session.on_vuln([](const VulnEvent& e) { ... })         // new finding
 //          .on_new_coverage([](const CoverageEvent& e) { ... })
 //          .on_progress([](const ProgressEvent& e) { ... }) // every N iters
-//          .on_batch_merged([](const BatchEvent& e) { ... })
+//          .on_frontier([](const CampaignFrontier& f) { ... },  // state
+//                       state_write_interval(spec.state_interval))
 //          .add_stop(Session::stop_on_finding("core.rf."));
 //   CampaignResult result = session.run();
 //
@@ -62,6 +63,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -103,16 +105,6 @@ struct VulnEvent {
   const VulnReport& report;
 };
 
-/// A whole window of batch_size iterations finished merging (corpus
-/// feedback is now applied). Under the sliding-window executor this is a
-/// cadence marker — every batch_size merges — not a convoy boundary.
-struct BatchEvent {
-  std::uint64_t batch_index = 0;        ///< 0-based
-  std::size_t batch_jobs = 0;           ///< iterations merged in this window
-  std::uint64_t merged_iterations = 0;  ///< campaign total so far
-  double seconds = 0;                   ///< elapsed wall-clock
-};
-
 /// One confirmed finding awaiting its deferred waveform export (vcd_out):
 /// recorded at merge time, re-simulated and written after the campaign
 /// loop. Part of the resume frontier so a paused campaign still writes
@@ -150,11 +142,19 @@ struct CampaignFrontier {
   std::uint64_t toggle_bits = 0;
   std::uint64_t last_gain_iteration = 0;
   std::uint64_t last_progress = 0;
-  std::uint64_t batch_index = 0;
-  std::uint64_t merges_since_event = 0;
   std::vector<PendingWaveform> pending_vcd;
   double prior_seconds = 0;  ///< wall-clock accumulated across segments
 };
+
+/// The on_frontier interval of a sink that sees only the final frontier
+/// (completed or paused) and no cadence capture.
+constexpr double kFinalFrontierOnly = std::numeric_limits<double>::infinity();
+
+/// The on_frontier interval for CampaignSpec::state_interval: that many
+/// seconds, with 0 meaning kFinalFrontierOnly.
+constexpr double state_write_interval(double state_interval) {
+  return state_interval > 0 ? state_interval : kFinalFrontierOnly;
+}
 
 /// Wall-clock telemetry of one simulation worker in the campaign
 /// executor. alignas(64): adjacent workers update their entries
@@ -193,7 +193,6 @@ class Session {
   Session& on_progress(std::function<void(const ProgressEvent&)> fn);
   Session& on_new_coverage(std::function<void(const CoverageEvent&)> fn);
   Session& on_vuln(std::function<void(const VulnEvent&)> fn);
-  Session& on_batch_merged(std::function<void(const BatchEvent&)> fn);
   /// Fires once per finding after the post-campaign triage stage
   /// minimized it (spec.triage = on | full), in finding order.
   Session& on_finding_minimized(
@@ -201,17 +200,17 @@ class Session {
   /// Durable-state sink: fires on the merge strand with the current
   /// resume frontier. Cadence captures fire when at least
   /// `min_interval_seconds` of run wall-clock passed since this sink last
-  /// fired (0 = every merge boundary); the final frontier — completed or
-  /// paused — always fires every sink (and may repeat the last cadence
-  /// boundary; state writers are idempotent by construction). Like every
-  /// observer, sinks never perturb the campaign result.
+  /// fired (0 = every merge boundary, kFinalFrontierOnly = never); the
+  /// final frontier — completed or paused — always fires every sink (and
+  /// may repeat the last cadence boundary; state writers are idempotent
+  /// by construction). Like every observer, sinks never perturb the
+  /// campaign result.
   Session& on_frontier(std::function<void(const CampaignFrontier&)> sink,
                        double min_interval_seconds = 0);
   Session& add_stop(StopCondition fn);
 
   /// Ready-made stop conditions for add_stop().
   static StopCondition stop_after_iterations(std::uint64_t n);
-  static StopCondition stop_after_vulns(std::size_t n);
   /// Stop once any finding key contains `key_substring`.
   static StopCondition stop_on_finding(std::string key_substring);
 
@@ -260,7 +259,6 @@ class Session {
 
   const CampaignSpec& spec() const { return spec_; }
   const OfflineResult& offline() const { return offline_; }
-  const sim::Simulator& simulator() const { return sim_; }
 
   /// The triage stage's output for the most recent run(); nullptr when
   /// spec.triage is off or the campaign found nothing.
@@ -320,7 +318,6 @@ class Session {
   std::vector<std::function<void(const ProgressEvent&)>> progress_observers_;
   std::vector<std::function<void(const CoverageEvent&)>> coverage_observers_;
   std::vector<std::function<void(const VulnEvent&)>> vuln_observers_;
-  std::vector<std::function<void(const BatchEvent&)>> batch_observers_;
   std::vector<std::function<void(const triage::MinimizedEvent&)>>
       minimized_observers_;
   std::vector<std::pair<std::function<void(const CampaignFrontier&)>, double>>

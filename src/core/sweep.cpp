@@ -7,6 +7,7 @@
 
 #include "core/report.hpp"
 #include "core/session.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace specure::core {
@@ -106,9 +107,9 @@ void Sweep::write_json(std::ostream& os,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SweepOutcome& row = rows[i];
     os << (i == 0 ? "" : ",") << "\n    {\"scenario\": \""
-       << json_escape(row.spec.name) << "\"";
+       << util::escape_json(row.spec.name) << "\"";
     if (!row.ok()) {
-      os << ", \"error\": \"" << json_escape(row.error) << "\"}";
+      os << ", \"error\": \"" << util::escape_json(row.error) << "\"}";
       continue;
     }
     const CampaignResult& r = row.result;

@@ -2,27 +2,11 @@
 
 #include <algorithm>
 
+#include "util/json.hpp"
+
 namespace specure::obs {
 
 namespace {
-
-/// Span names and lane labels are code-controlled literals, but escape
-/// defensively so the emitted JSON is well-formed no matter what.
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 /// Microseconds with nanosecond precision — the trace-event "ts"/"dur"
 /// unit is fractional microseconds.
@@ -109,7 +93,7 @@ void TraceRecorder::write_chrome_trace(std::ostream& out) const {
         lanes_[i].name.empty() ? "lane " + std::to_string(i) : lanes_[i].name;
     out << "{\"ph\": \"M\", \"pid\": 1, \"tid\": " << i
         << ", \"name\": \"thread_name\", \"args\": {\"name\": \""
-        << escape(label) << "\"}}";
+        << util::escape_json(label) << "\"}}";
   }
 
   // Complete ("X") events, oldest first per lane. Perfetto orders by
@@ -122,8 +106,9 @@ void TraceRecorder::write_chrome_trace(std::ostream& out) const {
       const TraceEvent& e = l.ring[(start + k) % l.ring.size()];
       sep();
       out << "{\"ph\": \"X\", \"pid\": 1, \"tid\": " << e.lane
-          << ", \"name\": \"" << escape(e.name ? e.name : "")
-          << "\", \"cat\": \"" << escape(e.category ? e.category : "")
+          << ", \"name\": \"" << util::escape_json(e.name ? e.name : "")
+          << "\", \"cat\": \""
+          << util::escape_json(e.category ? e.category : "")
           << "\", \"ts\": " << us(e.ts_ns) << ", \"dur\": " << us(e.dur_ns)
           << ", \"args\": {\"worker\": " << e.lane;
       if (e.iteration != 0) out << ", \"iteration\": " << e.iteration;

@@ -1,11 +1,11 @@
 #include "serve/campaign_state.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 
 #include "serve/state_io.hpp"
+#include "util/fs.hpp"
 #include "util/strings.hpp"
 
 namespace specure::serve {
@@ -196,8 +196,6 @@ void write_frontier(ByteWriter& w, const core::CampaignFrontier& f) {
   // Session counters.
   w.u64(f.last_gain_iteration);
   w.u64(f.last_progress);
-  w.u64(f.batch_index);
-  w.u64(f.merges_since_event);
 
   // Deferred waveforms.
   w.u64(f.pending_vcd.size());
@@ -281,8 +279,6 @@ core::CampaignFrontier read_frontier(ByteReader& r) {
 
   f.last_gain_iteration = r.u64("last gain iteration");
   f.last_progress = r.u64("last progress iteration");
-  f.batch_index = r.u64("batch index");
-  f.merges_since_event = r.u64("merges since event");
 
   const std::uint64_t waveforms = r.count("pending waveforms", 40);
   f.pending_vcd.reserve(waveforms);
@@ -379,26 +375,10 @@ CampaignState decode_state(std::string_view bytes, const std::string& origin) {
 
 void save_state_file(const std::string& path, const core::CampaignSpec& spec,
                      const core::CampaignFrontier& frontier) {
-  const std::string bytes = encode_state(spec, frontier);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw StateError("cannot write campaign state: failed to open '" + tmp +
-                       "' for writing");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      throw StateError("cannot write campaign state: short write to '" + tmp +
-                       "'");
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw StateError("cannot write campaign state: rename '" + tmp +
-                     "' -> '" + path + "' failed");
+  const std::string reason =
+      util::write_file_atomic(path, encode_state(spec, frontier));
+  if (!reason.empty()) {
+    throw StateError("cannot write campaign state: " + reason);
   }
 }
 

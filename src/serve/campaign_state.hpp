@@ -35,8 +35,9 @@ namespace specure::serve {
 /// Bump on any payload layout change. Old files are refused with a
 /// version-skew message, never misparsed. Version 2 dropped the in-flight
 /// jobs' mutation-parent fields; version 3 dropped the spec's `pipeline`
-/// key.
-constexpr std::uint32_t kStateFormatVersion = 3;
+/// key; version 4 dropped the batch-cadence counters and escapes the
+/// embedded spec TOML's strings.
+constexpr std::uint32_t kStateFormatVersion = 4;
 
 struct CampaignState {
   core::CampaignSpec spec;          ///< the spec the campaign ran under
@@ -54,8 +55,8 @@ std::string encode_state(const core::CampaignSpec& spec,
 /// to parse (a corruption the checksum would normally catch first).
 CampaignState decode_state(std::string_view bytes, const std::string& origin);
 
-/// Write atomically: serialize to `path` + ".tmp", then rename over
-/// `path`. Throws StateError on I/O failure.
+/// Write atomically (util::write_file_atomic). Throws StateError on I/O
+/// failure.
 void save_state_file(const std::string& path, const core::CampaignSpec& spec,
                      const core::CampaignFrontier& frontier);
 

@@ -64,17 +64,11 @@ bool CampaignStore::exists(const std::string& id) const {
 
 void CampaignStore::write_status(const std::string& id,
                                  const std::string& status) const {
-  const std::string tmp = status_path(id) + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      throw StateError("cannot write status file '" + tmp + "'");
-    }
-    out << status << "\n";
-  }
-  if (std::rename(tmp.c_str(), status_path(id).c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw StateError("cannot rename status file into place for '" + id + "'");
+  const std::string reason =
+      util::write_file_atomic(status_path(id), status + "\n");
+  if (!reason.empty()) {
+    throw StateError("cannot write the status file of '" + id + "': " +
+                     reason);
   }
 }
 

@@ -4,10 +4,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "util/strings.hpp"
 
@@ -87,251 +86,6 @@ void write_frame(int fd, std::string_view payload) {
   if (!payload.empty()) write_exact(fd, payload.data(), payload.size());
 }
 
-// ---- JSON parser ----------------------------------------------------------
-
-namespace {
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_(text) {}
-
-  Json parse() {
-    Json value = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) {
-      fail("trailing characters after the JSON value");
-    }
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) {
-    throw ProtocolError("line " + std::to_string(line_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '\n') ++line_;
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  bool consume_word(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  Json parse_value() {
-    skip_ws();
-    const char c = peek();
-    switch (c) {
-      case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
-      case '"': {
-        Json v;
-        v.kind = Json::Kind::kString;
-        v.text = parse_string();
-        return v;
-      }
-      case 't':
-        if (consume_word("true")) {
-          Json v;
-          v.kind = Json::Kind::kBool;
-          v.boolean = true;
-          return v;
-        }
-        fail("invalid literal (expected true)");
-      case 'f':
-        if (consume_word("false")) {
-          Json v;
-          v.kind = Json::Kind::kBool;
-          v.boolean = false;
-          return v;
-        }
-        fail("invalid literal (expected false)");
-      case 'n':
-        if (consume_word("null")) return Json{};
-        fail("invalid literal (expected null)");
-      default:
-        return parse_number();
-    }
-  }
-
-  Json parse_object() {
-    expect('{');
-    Json v;
-    v.kind = Json::Kind::kObject;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      const int key_line = line_;
-      if (peek() != '"') fail("expected a quoted object key");
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      v.keys.push_back(std::move(key));
-      v.key_lines.push_back(key_line);
-      v.values.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  Json parse_array() {
-    expect('[');
-    Json v;
-    v.kind = Json::Kind::kArray;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.items.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\n') fail("raw newline inside a string");
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("invalid hex digit in \\u escape");
-          }
-          // The protocol only ever escapes control characters; encode the
-          // code point as UTF-8 (BMP only — no surrogate pairs needed).
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xc0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
-          } else {
-            out.push_back(static_cast<char>(0xe0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
-          }
-          break;
-        }
-        default:
-          fail(std::string("unknown escape '\\") + e + "'");
-      }
-    }
-  }
-
-  Json parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a JSON value");
-    Json v;
-    v.kind = Json::Kind::kNumber;
-    try {
-      v.number = std::stod(std::string(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      fail("malformed number '" +
-           std::string(text_.substr(start, pos_ - start)) + "'");
-    }
-    return v;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int line_ = 1;
-};
-
-}  // namespace
-
-Json parse_json(std::string_view text) { return JsonParser(text).parse(); }
-
-std::string escape_json(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 // ---- request validation -----------------------------------------------------
 
 namespace {
@@ -369,7 +123,8 @@ const std::vector<std::string>& protocol_verbs() {
 }
 
 Request parse_request(std::string_view frame) {
-  const Json doc = parse_json(frame);
+  using util::Json;
+  const Json doc = util::parse_json(frame);
   if (doc.kind != Json::Kind::kObject) {
     throw ProtocolError("a request must be a JSON object, e.g. "
                         R"({"verb": "status", "id": "c0001"})");
@@ -442,10 +197,11 @@ Request parse_request(std::string_view frame) {
     req.spec_toml = spec->text;
   }
   if (const Json* from = doc.find("from")) {
-    if (from->kind != Json::Kind::kNumber || from->number < 0) {
+    const std::optional<std::uint64_t> index = from->as_u64();
+    if (!index) {
       throw ProtocolError("field 'from' must be a non-negative event index");
     }
-    req.from = static_cast<std::uint64_t>(from->number);
+    req.from = *index;
   }
   if (const Json* follow = doc.find("follow")) {
     if (follow->kind != Json::Kind::kBool) {
@@ -485,23 +241,16 @@ Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Json Client::request(const std::string& payload) {
+util::Json Client::request(const std::string& payload) {
   write_frame(fd_, payload);
   std::string response;
   if (!read_frame(fd_, response)) {
     throw ProtocolError("daemon closed the connection without a response");
   }
-  return parse_json(response);
+  return util::parse_json(response);
 }
 
 void Client::send(const std::string& payload) { write_frame(fd_, payload); }
-
-bool Client::next(Json& out) {
-  std::string response;
-  if (!read_frame(fd_, response)) return false;
-  out = parse_json(response);
-  return true;
-}
 
 bool Client::next_raw(std::string& payload) { return read_frame(fd_, payload); }
 

@@ -21,16 +21,19 @@
 #include <string_view>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace specure::serve {
 
 /// Hard cap on one frame's payload (1 MiB — a full campaign spec TOML is
 /// under 4 KiB; events and status responses are far smaller).
 constexpr std::uint32_t kMaxFramePayload = 1u << 20;
 
-/// Thrown for every protocol-layer failure: malformed frame, JSON parse
-/// error, unknown verb/field, missing required field. The daemon turns
-/// these into error responses and keeps the connection's peer state
-/// intact — a bad frame never takes the server down.
+/// Thrown for every protocol-layer failure: malformed frame, unknown
+/// verb/field, missing required field. Malformed JSON throws the codec's
+/// util::JsonError instead. The daemon turns both into error responses
+/// and keeps the connection's peer state intact — a bad frame never
+/// takes the server down.
 class ProtocolError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -47,49 +50,10 @@ bool read_frame(int fd, std::string& payload);
 /// the payload exceeds kMaxFramePayload or the write fails.
 void write_frame(int fd, std::string_view payload);
 
-// ---- minimal JSON (the protocol subset) ----------------------------------
-
-/// A parsed JSON value. Objects remember the source line of every key so
-/// field errors can point at the offending line.
-struct Json {
-  enum class Kind : std::uint8_t {
-    kNull,
-    kBool,
-    kNumber,
-    kString,
-    kObject,
-    kArray
-  };
-
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string text;
-  // kObject, in source order; parallel arrays because a nested struct
-  // holding a Json by value would be an incomplete type, while
-  // std::vector of an incomplete element type is fine in C++17.
-  std::vector<std::string> keys;
-  std::vector<int> key_lines;   ///< source line of each key
-  std::vector<Json> values;     ///< parallel to keys
-  std::vector<Json> items;      ///< kArray
-
-  const Json* find(std::string_view key) const {
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (keys[i] == key) return &values[i];
-    }
-    return nullptr;
-  }
-};
-
-/// Parse one JSON document (objects, arrays, strings with \-escapes,
-/// numbers, true/false/null). Throws ProtocolError with "line N:"
-/// context on malformed input.
-Json parse_json(std::string_view text);
-
-/// Minimal JSON string escaping for response building (mirrors
-/// core::json_escape; duplicated here so the protocol layer does not
-/// pull in the report renderer).
-std::string escape_json(std::string_view text);
+// specbench/served.cpp still names the codec through this namespace;
+// these go once it names util:: directly.
+using util::Json;
+using util::escape_json;
 
 // ---- requests -------------------------------------------------------------
 
@@ -109,7 +73,8 @@ const std::vector<std::string>& protocol_verbs();
 /// Decode and validate one request frame: parse the JSON, check the verb
 /// (did-you-mean on unknown), check every field against the verb's
 /// accepted set (line-numbered rejection, did-you-mean), check required
-/// fields are present and correctly typed. Throws ProtocolError.
+/// fields are present and correctly typed. Throws util::JsonError on
+/// malformed JSON, ProtocolError on a well-formed but invalid request.
 Request parse_request(std::string_view frame);
 
 // ---- client convenience ---------------------------------------------------
@@ -125,12 +90,9 @@ class Client {
   Client& operator=(const Client&) = delete;
 
   /// Send one request frame and read one response frame.
-  Json request(const std::string& payload);
+  util::Json request(const std::string& payload);
   /// Send one request frame without waiting for a response.
   void send(const std::string& payload);
-  /// Read the next frame (for streaming responses). Returns false on
-  /// clean EOF.
-  bool next(Json& out);
   /// Read the next frame without parsing (the CLI's `events` relay just
   /// reprints the payload). Returns false on clean EOF.
   bool next_raw(std::string& payload);

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "core/report.hpp"
@@ -19,9 +20,14 @@
 #include "obs/prometheus.hpp"
 #include "serve/campaign_state.hpp"
 #include "serve/protocol.hpp"
+#include "serve/state_io.hpp"
+#include "util/fs.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace specure::serve {
+
+using util::escape_json;
 
 namespace {
 
@@ -188,10 +194,8 @@ void Server::attach_session(Tenant& tenant) {
     t->events.flush();
   });
 
-  // Durable state: every pause/completion boundary persists (pauses fire
-  // all sinks); state_interval adds an intra-slice wall-clock cadence.
-  const double interval =
-      options_.state_interval > 0 ? options_.state_interval : 1e18;
+  // Durable state: every slice pause and the completion persist (both
+  // fire all sinks); there is no cadence within a slice.
   const std::string state_path = store_.state_path(tenant.id);
   const std::string metrics_path = store_.metrics_path(tenant.id);
   session.on_frontier(
@@ -233,15 +237,12 @@ void Server::attach_session(Tenant& tenant) {
         if (t->session != nullptr) {
           std::string prom;
           obs::render_prometheus(t->session->metrics_snapshot(),
-                                 "id=\"" + escape_json(t->id) + "\"", prom);
-          const std::string tmp = metrics_path + ".tmp";
-          std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-          out << prom;
-          out.close();
-          std::rename(tmp.c_str(), metrics_path.c_str());
+                                 "id=\"" + escape_json(t->id) + "\"",
+                                 prom);
+          util::write_file_atomic(metrics_path, prom);
         }
       },
-      interval);
+      core::kFinalFrontierOnly);
 }
 
 void Server::recover() {
@@ -270,26 +271,26 @@ void Server::recover() {
       // state.merged): everything after the last state write is exactly
       // what the resumed campaign deterministically re-emits.
       const std::uint64_t merged = have_state ? state.frontier.merged : 0;
-      std::vector<std::string> keep;
+      // A failed truncation would leave events past the durable cursor
+      // for the resumed campaign to append again, so it fails the tenant.
+      std::string keep;
       for (const std::string& line : read_lines(store_.events_path(id))) {
-        std::uint64_t iteration = 0;
+        std::optional<std::uint64_t> iteration;
         try {
-          const Json parsed = parse_json(line);
-          const Json* field = parsed.find("iteration");
-          if (field == nullptr || field->kind != Json::Kind::kNumber) break;
-          iteration = static_cast<std::uint64_t>(field->number);
-        } catch (const ProtocolError&) {
+          const util::Json parsed = util::parse_json(line);
+          if (const util::Json* field = parsed.find("iteration")) {
+            iteration = field->as_u64();
+          }
+        } catch (const util::JsonError&) {
           break;  // torn line: drop it and everything after
         }
-        if (iteration > merged) break;
-        keep.push_back(line);
+        if (!iteration || *iteration > merged) break;
+        keep += line + "\n";
       }
-      {
-        const std::string tmp = store_.events_path(id) + ".tmp";
-        std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-        for (const std::string& line : keep) out << line << "\n";
-        out.close();
-        std::rename(tmp.c_str(), store_.events_path(id).c_str());
+      const std::string reason =
+          util::write_file_atomic(store_.events_path(id), keep);
+      if (!reason.empty()) {
+        throw StateError("cannot truncate the event log: " + reason);
       }
 
       Tenant& tenant = create_tenant(id, std::move(disk_spec));

@@ -21,8 +21,8 @@
 // (the durable file is only read back at recovery).
 //
 // Durability: every tenant's resume frontier is written atomically to
-// <store>/<id>/state.bin at each slice boundary (plus any configured
-// cadence). Observer events append to events.jsonl *before* the state
+// <store>/<id>/state.bin at each slice boundary and at completion.
+// Observer events append to events.jsonl *before* the state
 // write, so at recovery the event log is truncated to iteration <=
 // state.merged — the exact deterministic prefix — and the resumed
 // campaign re-emits everything after it. A daemon killed with SIGKILL
@@ -57,9 +57,6 @@ struct ServerOptions {
   /// Fair-scheduling quantum: iterations each runnable tenant merges per
   /// round. Purely a scheduling knob — never affects results.
   std::uint64_t slice_iterations = 32;
-  /// Extra state-write cadence in seconds within a slice (0 = only at
-  /// slice boundaries, which always persist).
-  double state_interval = 0;
 };
 
 class Server {

@@ -5,10 +5,10 @@
 #include <ostream>
 #include <set>
 
-#include "core/report.hpp"
 #include "triage/repro.hpp"
 #include "triage/signature.hpp"
 #include "util/fs.hpp"
+#include "util/json.hpp"
 
 namespace specure::triage {
 
@@ -116,9 +116,9 @@ void write_triage_json(std::ostream& os, const TriageReport& report) {
   for (std::size_t i = 0; i < report.findings.size(); ++i) {
     const TriagedFinding& f = report.findings[i];
     os << (i == 0 ? "" : ",") << "\n    {\"digest\": \""
-       << core::json_escape(f.digest) << "\", \"signature\": \""
-       << core::json_escape(f.signature) << "\", \"coarse\": \""
-       << core::json_escape(f.coarse) << "\""
+       << util::escape_json(f.digest) << "\", \"signature\": \""
+       << util::escape_json(f.signature) << "\", \"coarse\": \""
+       << util::escape_json(f.coarse) << "\""
        << ", \"original_insts\": " << f.original.code.size()
        << ", \"minimized_insts\": " << f.minimized.code.size()
        << ", \"probes\": " << f.probes
@@ -126,7 +126,7 @@ void write_triage_json(std::ostream& os, const TriageReport& report) {
        << ", \"verified\": " << (f.verified ? "true" : "false")
        << ", \"program\": \"" << f.minimized.to_hex() << "\"";
     if (!f.bundle_dir.empty()) {
-      os << ", \"bundle\": \"" << core::json_escape(f.bundle_dir) << "\"";
+      os << ", \"bundle\": \"" << util::escape_json(f.bundle_dir) << "\"";
     }
     os << "}";
   }

@@ -1,5 +1,8 @@
 #include "util/fs.hpp"
 
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -18,6 +21,30 @@ std::string ensure_dir_writable(const std::string& dir) {
     if (!out) return "is not writable";
   }
   std::filesystem::remove(probe, ec);
+  return "";
+}
+
+std::string write_file_atomic(const std::string& path,
+                              std::string_view bytes) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      return "cannot open '" + tmp + "' for writing: " + std::strerror(errno);
+    }
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.flush();
+    if (!out) {
+      out.close();
+      std::remove(tmp.c_str());
+      return "short write to '" + tmp + "'";
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const std::string reason = std::strerror(errno);
+    std::remove(tmp.c_str());
+    return "rename '" + tmp + "' -> '" + path + "' failed: " + reason;
+  }
   return "";
 }
 

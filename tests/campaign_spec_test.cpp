@@ -174,6 +174,11 @@ TEST(CampaignSpecToml, RoundTripIsExact) {
   spec.set("feedback", "codecov");
   spec.budget.plateau = 250;
   spec.budget.max_seconds = 2.5;
+  // Quoted values may hold anything TOML must escape, and "#", which
+  // starts a comment outside a string.
+  spec.name = "a\"#b\\c\td\ne";
+  spec.vcd_out = "waves #1/\"q\"\\";
+  spec.triage_out = "tri\tage\n#out";
 
   const CampaignSpec reloaded = CampaignSpec::from_toml_string(spec.to_toml());
   EXPECT_TRUE(spec == reloaded);
@@ -182,6 +187,9 @@ TEST(CampaignSpecToml, RoundTripIsExact) {
   EXPECT_EQ(reloaded.feedback, FeedbackMode::kCodeCoverage);
   EXPECT_EQ(reloaded.budget.plateau, 250u);
   EXPECT_DOUBLE_EQ(reloaded.budget.max_seconds, 2.5);
+  EXPECT_EQ(reloaded.name, spec.name);
+  EXPECT_EQ(reloaded.vcd_out, spec.vcd_out);
+  EXPECT_EQ(reloaded.triage_out, spec.triage_out);
 }
 
 TEST(CampaignSpecToml, PresetKeySeedsTheSpec) {

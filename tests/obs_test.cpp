@@ -3,7 +3,7 @@
 //  1. Instrument correctness — sharded counters merge exactly, log2
 //     histogram buckets land on their boundaries, snapshots taken while
 //     writers run never tear an individual cell, Chrome trace JSON is
-//     well-formed (validated with the serve layer's own JSON parser).
+//     well-formed (validated with the project's JSON parser, util/json).
 //
 //  2. Result-neutrality — a campaign's CampaignResult is bit-identical
 //     with metrics/tracing on or off, at jobs 1 (the serial loop) and 4
@@ -25,7 +25,7 @@
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
-#include "serve/protocol.hpp"
+#include "util/json.hpp"
 
 namespace specure {
 namespace {
@@ -167,17 +167,17 @@ TEST(ObsTrace, ChromeTraceIsWellFormedJson) {
 
   std::ostringstream out;
   rec.write_chrome_trace(out);
-  // The serve layer's strict JSON parser doubles as the validator.
-  const serve::Json doc = serve::parse_json(out.str());
-  ASSERT_EQ(doc.kind, serve::Json::Kind::kObject);
-  const serve::Json* events = doc.find("traceEvents");
+  // The project's strict JSON parser doubles as the validator.
+  const util::Json doc = util::parse_json(out.str());
+  ASSERT_EQ(doc.kind, util::Json::Kind::kObject);
+  const util::Json* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   // process_name + 2 thread-name metadata records + 3 spans.
   ASSERT_EQ(events->items.size(), 6u);
   std::size_t spans = 0;
   std::size_t tagged = 0;
-  for (const serve::Json& e : events->items) {
-    const serve::Json* ph = e.find("ph");
+  for (const util::Json& e : events->items) {
+    const util::Json* ph = e.find("ph");
     ASSERT_NE(ph, nullptr);
     if (ph->text == "X") {
       ++spans;
@@ -186,14 +186,14 @@ TEST(ObsTrace, ChromeTraceIsWellFormedJson) {
       EXPECT_NE(e.find("ts"), nullptr);
       EXPECT_NE(e.find("dur"), nullptr);
       // Every span names its lane; tagged spans carry their iteration.
-      const serve::Json* args = e.find("args");
+      const util::Json* args = e.find("args");
       ASSERT_NE(args, nullptr);
-      const serve::Json* worker = args->find("worker");
-      const serve::Json* tid = e.find("tid");
+      const util::Json* worker = args->find("worker");
+      const util::Json* tid = e.find("tid");
       ASSERT_NE(worker, nullptr);
       ASSERT_NE(tid, nullptr);
       EXPECT_EQ(worker->number, tid->number);
-      if (const serve::Json* iteration = args->find("iteration")) {
+      if (const util::Json* iteration = args->find("iteration")) {
         ++tagged;
         EXPECT_EQ(iteration->number, 7.0);
       }
@@ -214,8 +214,8 @@ TEST(ObsTrace, RingOverwritesOldestAndReportsDrops) {
   EXPECT_EQ(rec.dropped(), 1500u - 1024u);
   std::ostringstream out;
   rec.write_chrome_trace(out);
-  const serve::Json doc = serve::parse_json(out.str());
-  ASSERT_EQ(doc.kind, serve::Json::Kind::kObject);
+  const util::Json doc = util::parse_json(out.str());
+  ASSERT_EQ(doc.kind, util::Json::Kind::kObject);
 }
 
 // -------------------------------------------------------------- prometheus --
@@ -294,13 +294,13 @@ TEST(ObsNeutrality, ResultsIdenticalWithMetricsAndTracingOnOrOff) {
     ASSERT_TRUE(in.good());
     std::stringstream buf;
     buf << in.rdbuf();
-    const serve::Json doc = serve::parse_json(buf.str());
-    ASSERT_EQ(doc.kind, serve::Json::Kind::kObject);
-    const serve::Json* events = doc.find("traceEvents");
+    const util::Json doc = util::parse_json(buf.str());
+    ASSERT_EQ(doc.kind, util::Json::Kind::kObject);
+    const util::Json* events = doc.find("traceEvents");
     ASSERT_NE(events, nullptr);
     bool saw_generate = false, saw_execute = false, saw_merge = false;
-    for (const serve::Json& e : events->items) {
-      const serve::Json* name = e.find("name");
+    for (const util::Json& e : events->items) {
+      const util::Json* name = e.find("name");
       if (name == nullptr) continue;
       if (name->text == "generate") saw_generate = true;
       if (name->text == "execute") saw_execute = true;

@@ -94,14 +94,6 @@ TEST(Report, JsonHistoryDownsampled) {
   EXPECT_GE(count, 4u);
 }
 
-TEST(Report, JsonEscaping) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
-  EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
-}
-
 TEST(Report, TextEchoesTheScenario) {
   CampaignSpec spec = CampaignSpec::preset("zenbleed");
   spec.rng_seed = 77;
@@ -176,6 +168,53 @@ TEST(Report, JsonSpecEchoRoundTripsIntoAnEqualSpec) {
 
   // Without a spec the report omits the echo (back-compat schema).
   EXPECT_EQ(json_report(result).find("\"spec\""), std::string::npos);
+}
+
+/// A one-instruction program (ECALL) in the report's hex encoding.
+std::string ecall_hex() {
+  riscv::Program program;
+  program.code = {0x00000073};
+  return program.to_hex();
+}
+
+TEST(Report, ParseRejectsTrailingGarbageAndANumericSignature) {
+  const auto rejects = [](const std::string& text) {
+    std::istringstream in(text);
+    try {
+      parse_json_report(in);
+    } catch (const SpecError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const std::string trailing =
+      rejects("{\"findings\": []} this is not json");
+  EXPECT_NE(trailing.find("JSON report: line 1: trailing"), std::string::npos)
+      << trailing;
+  const std::string numeric =
+      rejects("{\"findings\": [{\"signature\": 5, \"program\": \"" +
+              ecall_hex() + "\"}]}");
+  EXPECT_NE(numeric.find("signature"), std::string::npos) << numeric;
+}
+
+TEST(Report, ParseDecodesUnicodeEscapesToUtf8) {
+  std::istringstream in(
+      "{\"findings\": [{\"signature\": \"caf\\u00e9\", "
+      "\"program\": \"" +
+      ecall_hex() + "\"}]}");
+  const ParsedReport parsed = parse_json_report(in);
+  ASSERT_EQ(parsed.findings.size(), 1u);
+  EXPECT_EQ(parsed.findings[0].signature, "caf\xc3\xa9");
+}
+
+TEST(Report, MaxU64SpecValuesRoundTripExactly) {
+  CampaignSpec spec = CampaignSpec::preset("full");
+  spec.set("seed", "18446744073709551615");
+  std::istringstream in(json_report(sample_result(), 64, &spec));
+  const ParsedReport parsed = parse_json_report(in);
+  ASSERT_TRUE(parsed.has_spec);
+  EXPECT_EQ(parsed.spec.rng_seed, 18446744073709551615ull);
+  EXPECT_TRUE(parsed.spec == spec);
 }
 
 TEST(Report, EmptyCampaign) {

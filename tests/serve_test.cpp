@@ -28,9 +28,13 @@
 #include "serve/server.hpp"
 #include "serve/state_io.hpp"
 #include "util/fs.hpp"
+#include "util/json.hpp"
 
 namespace specure::serve {
 namespace {
+
+using util::escape_json;
+using util::Json;
 
 core::CampaignSpec small_spec(const std::string& preset,
                               std::uint64_t iterations, std::uint64_t seed,
@@ -239,16 +243,17 @@ TEST_F(StateRejection, VersionSkewIsRefusedNotMisparsed) {
 }
 
 TEST_F(StateRejection, VersionOneStateIsRefused) {
-  // Version 1 files carry per-job parent fields and version 2 files a
-  // `pipeline` spec key, neither of which this build can read.
-  for (const char version : {1, 2}) {
+  // Version 1 files carry per-job parent fields, version 2 files a
+  // `pipeline` spec key and version 3 files the batch-cadence counters,
+  // none of which this build can read.
+  for (const char version : {1, 2, 3}) {
     std::string old = bytes_;
     old[8] = version;
     const std::string message = expect_load_error(old);
     EXPECT_NE(message.find("format version " + std::to_string(version)),
               std::string::npos)
         << message;
-    EXPECT_NE(message.find("reads version 3"), std::string::npos) << message;
+    EXPECT_NE(message.find("reads version 4"), std::string::npos) << message;
   }
 }
 
@@ -311,9 +316,9 @@ TEST(Protocol, MissingRequiredFieldIsNamed) {
 
 TEST(Protocol, MalformedJsonReportsTheLine) {
   try {
-    parse_json("{\"a\": 1,\n\"b\": }");
+    parse_request("{\"verb\": \"list\",\n\"b\": }");
     FAIL();
-  } catch (const ProtocolError& e) {
+  } catch (const util::JsonError& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
   }
 }
@@ -509,7 +514,7 @@ TEST_F(ServeDaemon, ShutdownMidCampaignRecoversAndMatchesSolo) {
   std::uint64_t last_progress = 0;
   std::size_t progress_events = 0;
   while (std::getline(events, line)) {
-    const Json parsed_line = parse_json(line);
+    const Json parsed_line = util::parse_json(line);
     const Json* event = parsed_line.find("event");
     const Json* iteration = parsed_line.find("iteration");
     ASSERT_NE(event, nullptr);
@@ -550,6 +555,46 @@ TEST_F(ServeDaemon, MalformedFramesGetErrorsAndTheDaemonStaysUp) {
   Client client(socket_);
   const Json reply = client.request("{\"verb\": \"list\"}");
   EXPECT_NE(reply.find("campaigns"), nullptr);
+}
+
+TEST_F(ServeDaemon, DeeplyNestedFrameGetsAnErrorAndTheDaemonStaysUp) {
+  start("nested");
+  // A full-size frame of '[': without the codec's depth bound the parse
+  // recursed off the handler thread's stack and took the daemon down.
+  Client client(socket_);
+  const Json reply = client.request(std::string(kMaxFramePayload, '['));
+  const Json* error = reply.find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_NE(error->text.find("nesting deeper than 64 levels"),
+            std::string::npos)
+      << error->text;
+  // The same connection, and the daemon, still serve.
+  EXPECT_NE(client.request("{\"verb\": \"list\"}").find("campaigns"),
+            nullptr);
+}
+
+TEST_F(ServeDaemon, FailedEventLogTruncationFailsTheTenant) {
+  start("truncation");
+  const std::string id = submit(small_spec("default", 400, 7, 1));
+  for (int waited = 0; waited < 30000; waited += 10) {
+    Client client(socket_);
+    const Json reply =
+        client.request("{\"verb\": \"status\", \"id\": \"" + id + "\"}");
+    const Json* iters = reply.find("iterations");
+    if (iters != nullptr && iters->number >= 8) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  stop();
+  // A directory where the truncated log's temp file goes makes the
+  // atomic rewrite fail at open.
+  const std::string blocker = root_ + "/" + id + "/events.jsonl.tmp";
+  std::filesystem::create_directory(blocker);
+  start("truncation", /*keep_store=*/true);
+  const std::string status = read_file(server_->store().status_path(id));
+  std::filesystem::remove(blocker);
+  EXPECT_EQ(status.rfind("failed\n", 0), 0u) << status;
+  EXPECT_NE(status.find("cannot truncate the event log"), std::string::npos)
+      << status;
 }
 
 TEST_F(ServeDaemon, PauseHaltsProgressAndResumeCompletes) {

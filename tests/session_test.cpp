@@ -38,8 +38,6 @@ TEST(Session, EventsAreConsistentWithTheResult) {
   std::size_t coverage_events = 0;
   std::size_t lp_gain_from_events = 0;
   std::size_t vuln_events = 0;
-  std::size_t batch_events = 0;
-  std::uint64_t last_merged = 0;
   session.on_progress([&](const ProgressEvent& e) {
         EXPECT_EQ(e.budget_iterations, 120u);
         progress_iters.push_back(e.iteration);
@@ -53,12 +51,6 @@ TEST(Session, EventsAreConsistentWithTheResult) {
         ++vuln_events;
         EXPECT_FALSE(e.report.sink_signal.empty());
         EXPECT_GT(e.iteration, 0u);
-      })
-      .on_batch_merged([&](const BatchEvent& e) {
-        ++batch_events;
-        EXPECT_EQ(e.batch_jobs, 8u);
-        EXPECT_GT(e.merged_iterations, last_merged);
-        last_merged = e.merged_iterations;
       });
 
   const CampaignResult result = session.run();
@@ -74,7 +66,6 @@ TEST(Session, EventsAreConsistentWithTheResult) {
   EXPECT_EQ(vuln_events, result.vulns.size());
   EXPECT_EQ(lp_gain_from_events, result.history.back().covered_pdlc);
   EXPECT_GT(coverage_events, 0u);
-  EXPECT_EQ(batch_events, 120u / 8u);
 }
 
 TEST(Session, ObserversDoNotPerturbTheCampaign) {
@@ -82,10 +73,27 @@ TEST(Session, ObserversDoNotPerturbTheCampaign) {
   Session observed(small_spec(96, 33, 16));
   std::size_t noise = 0;
   observed.on_new_coverage([&](const CoverageEvent&) { ++noise; })
-      .on_batch_merged([&](const BatchEvent&) { ++noise; })
       .on_vuln([&](const VulnEvent&) { ++noise; });
   expect_identical(bare.run(), observed.run());
   EXPECT_GT(noise, 0u);
+}
+
+TEST(Session, StateIntervalZeroWritesOnlyTheCompletedFrontier) {
+  // `specure run --state-out F` with no interval: the sink sees the
+  // completed frontier once, not one capture per merge boundary.
+  for (const std::size_t jobs : {1u, 3u}) {
+    CampaignSpec spec = small_spec(64, 9);
+    spec.jobs = jobs;
+    Session session(spec);
+    std::vector<CampaignFrontier> fired;
+    session.on_frontier(
+        [&](const CampaignFrontier& f) { fired.push_back(f); },
+        state_write_interval(spec.state_interval));
+    const CampaignResult result = session.run();
+    ASSERT_EQ(fired.size(), 1u) << "jobs " << jobs;
+    EXPECT_TRUE(fired[0].completed);
+    EXPECT_EQ(fired[0].merged, result.history.size());
+  }
 }
 
 TEST(Session, DeterministicAcrossWorkerCounts) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/bits.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -141,6 +144,112 @@ TEST(Strings, Join) {
   EXPECT_EQ(join({"a", "b", "c"}, "."), "a.b.c");
   EXPECT_EQ(join({}, "."), "");
   EXPECT_EQ(join({"x"}, "."), "x");
+}
+
+TEST(Json, JsonEscaping) {
+  EXPECT_EQ(escape_json("plain"), "plain");
+  EXPECT_EQ(escape_json("a\"b"), "a\\\"b");
+  EXPECT_EQ(escape_json("a\\b"), "a\\\\b");
+  EXPECT_EQ(escape_json("a\nb"), "a\\nb");
+  EXPECT_EQ(escape_json(std::string(1, '\x01')), "\\u0001");
+}
+
+TEST(Json, EveryByteRoundTripsThroughEscapeAndParse) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) all.push_back(static_cast<char>(b));
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    const Json parsed = parse_json("\"" + escape_json(one) + "\"");
+    ASSERT_EQ(parsed.kind, Json::Kind::kString) << b;
+    EXPECT_EQ(parsed.text, one) << b;
+  }
+  EXPECT_EQ(parse_json("\"" + escape_json(all) + "\"").text, all);
+}
+
+std::string nested_arrays(int depth) {
+  return std::string(static_cast<std::size_t>(depth), '[') +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+TEST(Json, NestingIsBoundedAtMaxDepth) {
+  const Json deepest = parse_json(nested_arrays(kMaxJsonDepth));
+  EXPECT_EQ(deepest.kind, Json::Kind::kArray);
+  try {
+    parse_json(nested_arrays(kMaxJsonDepth + 1));
+    FAIL() << "depth " << kMaxJsonDepth + 1 << " parsed";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 64 levels"),
+              std::string::npos)
+        << e.what();
+  }
+  // Far past the bound (a fifth of a serve frame) fails just as politely.
+  EXPECT_THROW(parse_json(std::string(200000, '[')), JsonError);
+  EXPECT_THROW(parse_json(std::string(100000, '{') + "\"k\":"), JsonError);
+}
+
+TEST(Json, MalformedInputThrowsWithALineNumber) {
+  std::vector<std::string> inputs = {
+      "",
+      "1-2",
+      "1e5e5",
+      "-",
+      "01",
+      "1.",
+      ".5",
+      "tru",
+      "nul",
+      "{\"a\": 1} trailing",
+      "[1, 2]]",
+      "\"raw\nnewline\"",
+      "\"\\u12\"",
+      "\"\\u12g4\"",
+      "\"\\uZZZZ\"",
+      "\"\\u00",
+      "\"\\x\"",
+      "\"unterminated",
+      "{\"a\": 1",
+      "{\"a\"",
+      "{\"a\": }",
+      "{1: 2}",
+      "[1, 2",
+      "[1,]",
+      "\n\n[",
+  };
+  // Every proper prefix of a valid request is malformed too.
+  const std::string request =
+      "{\"verb\": \"events\", \"id\": \"c0001\", \"from\": 12, "
+      "\"follow\": false}";
+  EXPECT_NO_THROW(parse_json(request));
+  for (std::size_t n = 0; n < request.size(); ++n) {
+    inputs.push_back(request.substr(0, n));
+  }
+  for (const std::string& input : inputs) {
+    try {
+      parse_json(input);
+      ADD_FAILURE() << "parsed: " << input;
+    } catch (const JsonError& e) {
+      EXPECT_GE(e.line(), 1) << input;
+      EXPECT_EQ(std::string(e.what()).rfind("line ", 0), 0u) << e.what();
+    }
+  }
+  try {
+    parse_json("\n\n[");
+  } catch (const JsonError& e) {
+    EXPECT_EQ(e.line(), 3);
+  }
+}
+
+TEST(Json, NumbersKeepTheirSourceText) {
+  const Json doc =
+      parse_json("[18446744073709551615, 1.5e3, -2, 18446744073709551616]");
+  ASSERT_EQ(doc.items.size(), 4u);
+  EXPECT_EQ(doc.items[0].text, "18446744073709551615");
+  EXPECT_EQ(doc.items[0].as_u64(), 18446744073709551615ull);
+  EXPECT_DOUBLE_EQ(doc.items[1].number, 1500);
+  EXPECT_FALSE(doc.items[1].as_u64().has_value());
+  EXPECT_DOUBLE_EQ(doc.items[2].number, -2);
+  EXPECT_FALSE(doc.items[2].as_u64().has_value());
+  EXPECT_FALSE(doc.items[3].as_u64().has_value());
 }
 
 }  // namespace

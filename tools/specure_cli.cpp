@@ -36,6 +36,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -61,6 +62,7 @@
 #include "sim/structure.hpp"
 #include "triage/triage.hpp"
 #include "util/fs.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -339,7 +341,8 @@ const std::vector<FlagDef> kRunFlags = {
     {"--state-out", true,
      "write the durable campaign state to FILE (sugar for state_out=)"},
     {"--state-interval", true,
-     "seconds between cadence state writes (sugar for state_interval=)"},
+     "seconds between cadence state writes, 0 = only the final/pause "
+     "state (sugar for state_interval=)"},
     {"--resume", true, "resume a campaign from a state FILE"},
     {"--trace-out", true,
      "write a Chrome/Perfetto trace of the pipeline to FILE "
@@ -423,7 +426,7 @@ int cmd_run(const Args& args) {
         [&spec](const core::CampaignFrontier& f) {
           serve::save_state_file(spec.state_out, spec, f);
         },
-        spec.state_interval);
+        core::state_write_interval(spec.state_interval));
   }
   if (resuming) session.resume_from(std::move(state.frontier));
 
@@ -749,8 +752,6 @@ const std::vector<FlagDef> kServeFlags = {
     {"--store", true, "campaign store directory (default specure-store)"},
     {"--workers", true, "shared pool threads, 0 = all hardware"},
     {"--slice", true, "fair-scheduling quantum in iterations (default 32)"},
-    {"--state-interval", true,
-     "extra state-write cadence in seconds (0 = slice boundaries only)"},
 };
 
 int cmd_serve(const Args& args) {
@@ -761,8 +762,6 @@ int cmd_serve(const Args& args) {
       std::strtoull(args.get("--workers", "0").c_str(), nullptr, 10));
   options.slice_iterations =
       std::strtoull(args.get("--slice", "32").c_str(), nullptr, 10);
-  options.state_interval =
-      std::strtod(args.get("--state-interval", "0").c_str(), nullptr);
 
   // Block the stop signals before the server spawns any thread (the mask
   // is inherited), then watch for them next to the serving thread:
@@ -825,39 +824,39 @@ const std::vector<FlagDef> kEventsFlags = {
 
 /// Render a daemon response: errors to stderr (exit 1), otherwise one
 /// human-readable line from the well-known fields.
-int print_reply(const serve::Json& reply) {
-  if (const serve::Json* error = reply.find("error")) {
+int print_reply(const util::Json& reply) {
+  if (const util::Json* error = reply.find("error")) {
     std::fprintf(stderr, "specure: %s\n", error->text.c_str());
     return kExitError;
   }
   std::string line;
-  if (const serve::Json* id = reply.find("id")) line += id->text;
-  if (const serve::Json* status = reply.find("status")) {
+  if (const util::Json* id = reply.find("id")) line += id->text;
+  if (const util::Json* status = reply.find("status")) {
     line += (line.empty() ? "" : ": ") + status->text;
   }
-  if (const serve::Json* iters = reply.find("iterations")) {
+  if (const util::Json* iters = reply.find("iterations")) {
     line += "  iterations=" +
             std::to_string(static_cast<std::uint64_t>(iters->number));
     // Merged-progress against the budget, when the daemon reports one.
-    if (const serve::Json* budget = reply.find("budget")) {
+    if (const util::Json* budget = reply.find("budget")) {
       if (budget->number > 0) {
         line +=
             "/" + std::to_string(static_cast<std::uint64_t>(budget->number));
       }
     }
   }
-  if (const serve::Json* vulns = reply.find("vulns")) {
+  if (const util::Json* vulns = reply.find("vulns")) {
     line += "  vulns=" +
             std::to_string(static_cast<std::uint64_t>(vulns->number));
   }
-  if (const serve::Json* rate = reply.find("iters_per_sec")) {
+  if (const util::Json* rate = reply.find("iters_per_sec")) {
     if (rate->number > 0) {
       char buf[32];
       std::snprintf(buf, sizeof(buf), "%.1f", rate->number);
       line += std::string("  rate=") + buf + " it/s";
     }
   }
-  if (const serve::Json* detail = reply.find("detail")) {
+  if (const util::Json* detail = reply.find("detail")) {
     line += "  (" + detail->text + ")";
   }
   std::printf("%s\n", line.empty() ? "ok" : line.c_str());
@@ -875,7 +874,7 @@ int send_id_verb(const char* verb, const Args& args) {
   serve::Client client(args.get("--socket", kDefaultSocket));
   return print_reply(client.request(
       std::string("{\"verb\": \"") + verb + "\", \"id\": \"" +
-      serve::escape_json(args.positional[0]) + "\"}"));
+      util::escape_json(args.positional[0]) + "\"}"));
 }
 
 int cmd_submit(const Args& args) {
@@ -894,14 +893,14 @@ int cmd_submit(const Args& args) {
   spec.validate();  // reject locally before bothering the daemon
 
   serve::Client client(args.get("--socket", kDefaultSocket));
-  const serve::Json reply = client.request(
+  const util::Json reply = client.request(
       "{\"verb\": \"submit\", \"spec\": \"" +
-      serve::escape_json(spec.to_toml()) + "\"}");
-  if (const serve::Json* error = reply.find("error")) {
+      util::escape_json(spec.to_toml()) + "\"}");
+  if (const util::Json* error = reply.find("error")) {
     std::fprintf(stderr, "specure: %s\n", error->text.c_str());
     return kExitError;
   }
-  const serve::Json* id = reply.find("id");
+  const util::Json* id = reply.find("id");
   std::printf("%s\n", id != nullptr ? id->text.c_str() : "ok");
   return kExitOk;
 }
@@ -915,17 +914,17 @@ int cmd_status(const Args& args) {
   }
   // No id: list every campaign the daemon knows.
   serve::Client client(args.get("--socket", kDefaultSocket));
-  const serve::Json reply = client.request("{\"verb\": \"list\"}");
-  if (const serve::Json* error = reply.find("error")) {
+  const util::Json reply = client.request("{\"verb\": \"list\"}");
+  if (const util::Json* error = reply.find("error")) {
     std::fprintf(stderr, "specure: %s\n", error->text.c_str());
     return kExitError;
   }
-  const serve::Json* campaigns = reply.find("campaigns");
+  const util::Json* campaigns = reply.find("campaigns");
   if (campaigns == nullptr || campaigns->items.empty()) {
     std::printf("no campaigns\n");
     return kExitOk;
   }
-  for (const serve::Json& row : campaigns->items) {
+  for (const util::Json& row : campaigns->items) {
     print_reply(row);
   }
   return kExitOk;
@@ -938,22 +937,33 @@ int cmd_events(const Args& args) {
                  "[--no-follow] [--socket PATH]\n");
     return kExitUsage;
   }
+  // Checked here: the value is pasted into the request JSON.
+  const std::string from_text = args.get("--from", "0");
+  std::uint64_t from = 0;
+  const char* from_end = from_text.data() + from_text.size();
+  const auto parsed_from = std::from_chars(from_text.data(), from_end, from);
+  if (parsed_from.ec != std::errc() || parsed_from.ptr != from_end) {
+    std::fprintf(stderr,
+                 "specure: --from: '%s' is not a non-negative event index\n",
+                 from_text.c_str());
+    return kExitUsage;
+  }
   serve::Client client(args.get("--socket", kDefaultSocket));
   client.send("{\"verb\": \"events\", \"id\": \"" +
-              serve::escape_json(args.positional[0]) +
-              "\", \"from\": " + args.get("--from", "0") +
+              util::escape_json(args.positional[0]) +
+              "\", \"from\": " + std::to_string(from) +
               ", \"follow\": " +
               (args.has("--no-follow") ? "false" : "true") + "}");
   std::string raw;
   while (client.next_raw(raw)) {
     std::printf("%s\n", raw.c_str());
     std::fflush(stdout);
-    const serve::Json frame = serve::parse_json(raw);
-    if (const serve::Json* error = frame.find("error")) {
+    const util::Json frame = util::parse_json(raw);
+    if (const util::Json* error = frame.find("error")) {
       std::fprintf(stderr, "specure: %s\n", error->text.c_str());
       return kExitError;
     }
-    const serve::Json* event = frame.find("event");
+    const util::Json* event = frame.find("event");
     if (event != nullptr && event->text == "end") return kExitOk;
   }
   std::fprintf(stderr, "specure: daemon closed the event stream\n");
@@ -969,15 +979,15 @@ int cmd_metrics(const Args& args) {
   serve::Client client(args.get("--socket", kDefaultSocket));
   std::string request = "{\"verb\": \"metrics\"";
   if (!args.positional.empty()) {
-    request += ", \"id\": \"" + serve::escape_json(args.positional[0]) + "\"";
+    request += ", \"id\": \"" + util::escape_json(args.positional[0]) + "\"";
   }
   request += "}";
-  const serve::Json reply = client.request(request);
-  if (const serve::Json* error = reply.find("error")) {
+  const util::Json reply = client.request(request);
+  if (const util::Json* error = reply.find("error")) {
     std::fprintf(stderr, "specure: %s\n", error->text.c_str());
     return kExitError;
   }
-  const serve::Json* metrics = reply.find("metrics");
+  const util::Json* metrics = reply.find("metrics");
   if (metrics == nullptr) {
     std::fprintf(stderr, "specure: daemon reply carried no metrics field\n");
     return kExitError;
@@ -1048,7 +1058,7 @@ void usage() {
       "  audit FILE.v --top MODULE [--dot F]\n"
       "  disasm HEXWORD [PC]\n"
       "  serve [--socket PATH] [--store DIR] [--workers N] [--slice N]\n"
-      "      [--state-interval S]   (campaign daemon; resumes its store)\n"
+      "      (campaign daemon; resumes its store)\n"
       "  submit [SPEC.toml | --preset NAME] [key=value ...] [--socket PATH]\n"
       "  status [CAMPAIGN_ID] [--socket PATH]\n"
       "  metrics [CAMPAIGN_ID] [--socket PATH]   (Prometheus text)\n"
