@@ -1,10 +1,10 @@
 // Campaign scheduler — the job-producing end of the Online Phase pipeline
 // (scheduler → simulation workers → result merger).
 //
-// The scheduler owns the Hardware Fuzzer and draws (iteration, program,
-// derived_rng_seed) jobs from it. Corpus feedback routed back through
-// feedback() as iterations merge is what gives the campaign its
-// sliding-window generation contract (see session.hpp).
+// The scheduler owns the Hardware Fuzzer and draws (iteration, program)
+// jobs from it. Corpus feedback routed back through feedback() as
+// iterations merge is what gives the campaign its sliding-window
+// generation contract (see session.hpp).
 #pragma once
 
 #include <cstdint>

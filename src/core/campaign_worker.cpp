@@ -33,10 +33,6 @@ void CampaignWorker::process(const fuzz::FuzzJob& job,
                              const util::AtomicBitset* lp_already_covered,
                              WorkerResult& out) {
   const auto e0 = std::chrono::steady_clock::now();
-  // Recycle the shell's coverage buckets into the scratch RunResult
-  // before the run (the simulator resets them keeping capacity), closing
-  // the buffer-reuse loop across the executor's queue boundary.
-  scratch_.coverage = std::move(out.coverage);
   sim_.run(job.program, scratch_);
 
   out.iteration = job.iteration;
@@ -47,7 +43,7 @@ void CampaignWorker::process(const fuzz::FuzzJob& job,
   // The detector never sees the test input; stamp it so confirmed
   // findings stay re-simulatable (waveform export, triage minimization).
   for (VulnReport& report : out.reports) report.program = job.program;
-  out.coverage = std::move(scratch_.coverage);
+  out.coverage = scratch_.coverage;
   out.cycles = scratch_.cycles;
   // Simulation cost per iteration follows run length, and runs that
   // exhaust the cycle budget are its long tail.

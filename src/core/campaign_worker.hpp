@@ -64,8 +64,8 @@ class CampaignWorker {
                  LpPolicy lp_policy, const DetectorOptions& detector);
 
   /// Simulate and analyze one job, writing into `out` (cleared first;
-  /// its windows/lp_hits/coverage buffers are reused, so recycling one
-  /// shell across iterations costs no allocator round trips). Safe to
+  /// its windows/lp_hits buffers are reused, so recycling one shell
+  /// across iterations costs no allocator round trips). Safe to
   /// run concurrently with other workers' process() calls; a single
   /// worker must be driven by one thread at a time. `lp_already_covered`,
   /// when given, is the merger's atomic covered shadow; channels covered

@@ -23,14 +23,14 @@ ResultMerger::ResultMerger(const OfflineResult& offline,
 
 void ResultMerger::restore(const CampaignResult& result,
                            const std::vector<bool>& lp_mask,
-                           const std::vector<std::string>& coverage_points,
+                           std::uint64_t coverage_mask,
                            std::uint64_t toggle_bits) {
   result_ = result;
   lp_.restore_covered(lp_mask);
   for (std::size_t c = 0; c < lp_mask.size(); ++c) {
     if (lp_mask[c]) covered_shadow_.set(c);
   }
-  code_cov_.restore(coverage_points, toggle_bits);
+  code_cov_.restore(coverage_mask, toggle_bits);
 }
 
 bool ResultMerger::merge(WorkerResult& result) {

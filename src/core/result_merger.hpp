@@ -74,7 +74,7 @@ class ResultMerger {
   /// to the corpus.
   ///
   /// The by-ref form only moves out what the merged state keeps (the
-  /// deduplicated reports); windows/lp_hits/coverage retain their
+  /// deduplicated reports); windows/lp_hits retain their
   /// buffers, so the caller can recycle `result` as the scratch shell
   /// for a later iteration (the pipelined executor's slot reuse).
   bool merge(WorkerResult& result);
@@ -105,11 +105,10 @@ class ResultMerger {
   /// Restore the merger to a previously captured campaign frontier:
   /// the accumulated result, the LP covered mask (covered_mask() at
   /// capture time, republished to the atomic shadow) and the merged
-  /// code-coverage point set. The next merge() continues exactly where
+  /// code-coverage point mask. The next merge() continues exactly where
   /// the captured campaign left off.
   void restore(const CampaignResult& result, const std::vector<bool>& lp_mask,
-               const std::vector<std::string>& coverage_points,
-               std::uint64_t toggle_bits);
+               std::uint64_t coverage_mask, std::uint64_t toggle_bits);
 
   /// Move the finished result out; the merger is spent afterwards.
   CampaignResult take_result() { return std::move(result_); }

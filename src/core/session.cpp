@@ -1,10 +1,10 @@
 #include "core/session.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <exception>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "core/campaign_scheduler.hpp"
@@ -291,7 +291,7 @@ Session::MergeStrand::MergeStrand(Session& session, std::size_t window,
   if (resume == nullptr) return;
   CampaignFrontier& f = *resume;
   scheduler_.restore(f.fuzzer);
-  merger_.restore(f.result, f.lp_covered, f.coverage_points, f.toggle_bits);
+  merger_.restore(f.result, f.lp_covered, f.coverage_mask, f.toggle_bits);
   replay_.assign(std::make_move_iterator(f.in_flight.begin()),
                  std::make_move_iterator(f.in_flight.end()));
   merged_ = f.merged;
@@ -440,9 +440,7 @@ CampaignFrontier Session::MergeStrand::frontier(bool completed) const {
   f.result = merger_.result();
   f.result.seconds = elapsed();
   f.lp_covered = merger_.lp_covered_mask();
-  const auto& points = merger_.code_coverage().points();
-  f.coverage_points.assign(points.begin(), points.end());
-  std::sort(f.coverage_points.begin(), f.coverage_points.end());
+  f.coverage_mask = merger_.code_coverage().points();
   f.toggle_bits = merger_.code_coverage().toggle_bits();
   f.last_gain_iteration = last_gain_iteration_;
   f.last_progress = last_progress_;

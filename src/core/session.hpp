@@ -34,19 +34,18 @@
 //
 //   CampaignScheduler --> N x CampaignWorker --> ResultMerger
 //
-// The scheduler streams (iteration, program, derived_rng_seed) jobs from
-// the fuzzer into a sliding window of at most batch_size in-flight
-// iterations; the merger consumes completions strictly in iteration
-// order, applying LP-coverage commits, code-coverage merges,
-// vulnerability deduplication, MST sampling and corpus feedback, and
-// refills the window after every merge. Generation and merging form one
-// merge strand on the caller thread. The executor follows from the
-// resolved worker count: jobs == 1 runs the definitional serial loop
-// (simulate the oldest in-flight job on the caller thread, merge it, draw
-// its replacement); jobs >= 2 runs the sliding-window executor, whose
-// `jobs` worker threads, each owning a private sim::Simulator, pull jobs
-// from one shared queue and simulate and analyze the window concurrently
-// with no batch barrier.
+// The scheduler streams (iteration, program) jobs from the fuzzer into a
+// sliding window of at most batch_size in-flight iterations; the merger
+// consumes completions strictly in iteration order, applying LP-coverage
+// commits, code-coverage merges, vulnerability deduplication, MST
+// sampling and corpus feedback, and refills the window after every
+// merge. Generation and merging form one merge strand on the caller
+// thread. The executor follows from the resolved worker count: jobs == 1
+// runs the definitional serial loop (simulate the oldest in-flight job on
+// the caller thread, merge it, draw its replacement); jobs >= 2 runs the
+// sliding-window executor, whose `jobs` worker threads, each owning a
+// private sim::Simulator, pull jobs from one shared queue and simulate
+// and analyze the window concurrently with no batch barrier.
 //
 // Determinism contract (sliding-window feedback): job k is generated
 // from the merged campaign state through iteration k - batch_size (the
@@ -138,7 +137,7 @@ struct CampaignFrontier {
   std::vector<fuzz::FuzzJob> in_flight;  ///< iterations merged+1..issued
   CampaignResult result;
   std::vector<bool> lp_covered;
-  std::vector<std::string> coverage_points;  ///< sorted (stable on disk)
+  std::uint64_t coverage_mask = 0;  ///< sim::CoverageRecorder::points()
   std::uint64_t toggle_bits = 0;
   std::uint64_t last_gain_iteration = 0;
   std::uint64_t last_progress = 0;

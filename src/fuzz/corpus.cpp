@@ -44,10 +44,7 @@ const CorpusEntry& Corpus::select(util::Rng& rng) {
 }
 
 Fuzzer::Fuzzer(const FuzzerOptions& options, std::uint64_t rng_seed)
-    : options_(options),
-      rng_(rng_seed),
-      corpus_(options.corpus_max),
-      job_seed_base_(util::Rng::derive_seed(rng_seed, 0x10b5eedULL)) {
+    : options_(options), rng_(rng_seed), corpus_(options.corpus_max) {
   util::Rng seed_rng = rng_.fork();
   if (options_.use_special_seeds) {
     for (auto& s : special_seeds(seed_rng)) {
@@ -77,7 +74,6 @@ FuzzJob Fuzzer::next_job() {
   FuzzJob job;
   job.iteration = ++iteration_;
   job.program = generate();
-  job.rng_seed = util::Rng::derive_seed(job_seed_base_, job.iteration);
   return job;
 }
 

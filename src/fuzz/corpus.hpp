@@ -67,14 +67,12 @@ struct FuzzerOptions {
 };
 
 /// One unit of campaign work handed to a simulation worker: the test
-/// input, its iteration number (for in-order merging and corpus
-/// bookkeeping) and a derived per-iteration RNG seed so any stochastic
-/// worker-side component stays deterministic regardless of which thread
-/// runs the job.
+/// input and its iteration number (for in-order merging and corpus
+/// bookkeeping). Workers are deterministic, so nothing else is needed to
+/// reproduce a job on any thread.
 struct FuzzJob {
   std::uint64_t iteration = 0;
   riscv::Program program;
-  std::uint64_t rng_seed = 0;
 };
 
 /// Everything that determines the fuzzer's future output stream, as one
@@ -122,10 +120,7 @@ class Fuzzer {
   std::uint64_t iteration() const { return iteration_; }
   const Corpus& corpus() const { return corpus_; }
 
-  /// Snapshot / restore the deterministic generation state. The derived
-  /// job-seed base is not part of the state: it is a pure function of the
-  /// construction seed, so the restoring fuzzer (built from the same
-  /// spec) recomputes it.
+  /// Snapshot / restore the deterministic generation state.
   FuzzerState save_state() const;
   void restore_state(const FuzzerState& state);
 
@@ -137,7 +132,6 @@ class Fuzzer {
   Corpus corpus_;
   std::vector<Seed> pending_seeds_;
   std::uint64_t iteration_ = 0;
-  std::uint64_t job_seed_base_ = 0;  ///< base for per-iteration RNG seeds
 };
 
 }  // namespace specure::fuzz

@@ -103,14 +103,12 @@ core::VulnReport read_vuln(ByteReader& r) {
 void write_fuzz_job(ByteWriter& w, const fuzz::FuzzJob& job) {
   w.u64(job.iteration);
   write_program(w, job.program);
-  w.u64(job.rng_seed);
 }
 
 fuzz::FuzzJob read_fuzz_job(ByteReader& r) {
   fuzz::FuzzJob job;
   job.iteration = r.u64("in-flight job iteration");
   job.program = read_program(r, "in-flight job program");
-  job.rng_seed = r.u64("in-flight job rng seed");
   return job;
 }
 
@@ -189,8 +187,7 @@ void write_frontier(ByteWriter& w, const core::CampaignFrontier& f) {
 
   // Coverage maps.
   write_bitmask(w, f.lp_covered);
-  w.u64(f.coverage_points.size());
-  for (const std::string& point : f.coverage_points) w.str(point);
+  w.u64(f.coverage_mask);
   w.u64(f.toggle_bits);
 
   // Session counters.
@@ -235,7 +232,7 @@ core::CampaignFrontier read_frontier(ByteReader& r) {
     f.fuzzer.pending_seeds.push_back(std::move(s));
   }
 
-  const std::uint64_t in_flight = r.count("in-flight jobs", 40);
+  const std::uint64_t in_flight = r.count("in-flight jobs", 24);
   f.in_flight.reserve(in_flight);
   for (std::uint64_t i = 0; i < in_flight; ++i)
     f.in_flight.push_back(read_fuzz_job(r));
@@ -271,10 +268,13 @@ core::CampaignFrontier read_frontier(ByteReader& r) {
   f.result.seconds = r.f64("result seconds");
 
   f.lp_covered = read_bitmask(r, "lp coverage mask");
-  const std::uint64_t points = r.count("coverage points", 8);
-  f.coverage_points.reserve(points);
-  for (std::uint64_t i = 0; i < points; ++i)
-    f.coverage_points.push_back(r.str("coverage point"));
+  f.coverage_mask = r.u64("code coverage mask");
+  if ((f.coverage_mask & ~sim::CoverageRecorder::kAllPoints) != 0) {
+    throw StateError("campaign state is corrupted: code coverage mask 0x" +
+                     util::hex(f.coverage_mask) + " sets bits beyond the " +
+                     std::to_string(sim::CoverageRecorder::kPointCount) +
+                     " coverage points");
+  }
   f.toggle_bits = r.u64("toggle bits");
 
   f.last_gain_iteration = r.u64("last gain iteration");

@@ -36,8 +36,10 @@ namespace specure::serve {
 /// version-skew message, never misparsed. Version 2 dropped the in-flight
 /// jobs' mutation-parent fields; version 3 dropped the spec's `pipeline`
 /// key; version 4 dropped the batch-cadence counters and escapes the
-/// embedded spec TOML's strings.
-constexpr std::uint32_t kStateFormatVersion = 4;
+/// embedded spec TOML's strings; version 5 stores code coverage as one
+/// point mask instead of point names and drops the in-flight jobs' RNG
+/// seeds.
+constexpr std::uint32_t kStateFormatVersion = 5;
 
 struct CampaignState {
   core::CampaignSpec spec;          ///< the spec the campaign ran under

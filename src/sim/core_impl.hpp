@@ -2,7 +2,6 @@
 // the public API — include sim/core.hpp and drive a Simulator instead.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -201,7 +200,7 @@ class Core {
 
   // ------------------------------------------------------------ helpers --
   unsigned rob_next(unsigned i) const {
-    return (i + 1) % static_cast<unsigned>(rob_.size());
+    return i + 1 == rob_.size() ? 0 : i + 1;
   }
   bool rob_full() const { return rob_count_ == rob_.size(); }
 
@@ -242,14 +241,15 @@ class Core {
   /// which otherwise ran O(rob) even with no window open.
   bool any_unsafe() const { return unsafe_count_ != 0; }
 
+  /// The ring holds the in-flight entries in allocation (= program)
+  /// order from rob_head_, so the first match of a walk is the oldest.
   const RobEntry* oldest_unsafe() const {
-    const RobEntry* best = nullptr;
-    for (const auto& e : rob_) {
-      if (e.valid && e.unsafe && !e.resolved && !e.squashed) {
-        if (best == nullptr || e.seq < best->seq) best = &e;
-      }
+    unsigned slot = rob_head_;
+    for (unsigned n = 0; n < rob_count_; ++n, slot = rob_next(slot)) {
+      const RobEntry& e = rob_[slot];
+      if (e.valid && e.unsafe && !e.resolved && !e.squashed) return &e;
     }
-    return best;
+    return nullptr;
   }
 
   void on_cache_line_event(std::uint64_t line, DcacheEvent ev) {
@@ -299,8 +299,8 @@ class Core {
       dcache_.store(e.mem_addr, e.mem_size, e.store_value);
       rec.is_store = true;
       rec.store_addr = e.mem_addr;
-      res.coverage.branch("lsu.store_mapped",
-                          mem_.data_mapped(e.mem_addr, e.mem_size));
+      res.coverage.hit(CoverageSite::kLsuStoreMapped,
+                       mem_.data_mapped(e.mem_addr, e.mem_size));
     }
     if (e.writes_csr) {
       csr_.write(e.csr_addr, e.csr_wval);
@@ -317,21 +317,18 @@ class Core {
   }
 
   void execute_and_resolve(RunResult& res) {
-    // Oldest-first scan so an older misprediction squashes younger work
-    // before that work writes back.
-    std::vector<RobEntry*> order;
-    for (auto& e : rob_) {
-      if (e.valid && !e.done) order.push_back(&e);
-    }
-    std::sort(order.begin(), order.end(),
-              [](const RobEntry* a, const RobEntry* b) { return a->seq < b->seq; });
-    for (RobEntry* e : order) {
-      if (e->squashed || e->done) continue;
-      if (cycle_ < e->ready_cycle) continue;
-      if (e->is_ctrl) {
-        resolve_control(*e, res);
+    // Oldest-first walk of the ring so an older misprediction squashes
+    // younger work before that work writes back. Neither a resolve nor a
+    // squash moves rob_head_ or rob_count_.
+    unsigned slot = rob_head_;
+    for (unsigned n = 0; n < rob_count_; ++n, slot = rob_next(slot)) {
+      RobEntry& e = rob_[slot];
+      if (!e.valid || e.done || e.squashed) continue;
+      if (cycle_ < e.ready_cycle) continue;
+      if (e.is_ctrl) {
+        resolve_control(e, res);
       } else {
-        writeback(*e);
+        writeback(e);
       }
     }
   }
@@ -352,7 +349,7 @@ class Core {
     if (e.unsafe) --unsafe_count_;
     brupdate_valid_ = true;
     e.mispredicted = e.actual_next != e.pred_next;
-    res.coverage.branch("rob.resolve_mispredict", e.mispredicted);
+    res.coverage.hit(CoverageSite::kRobResolveMispredict, e.mispredicted);
 
     // Train the predictor with the true outcome (wrong-path training of
     // other branches already happened — and persists: the v2 surface).
@@ -367,27 +364,26 @@ class Core {
       prf_ready_[e.new_phys] = true;
       prf_taint_[e.new_phys] = false;
     }
-    if (!e.mispredicted) {
-      rename_.release_checkpoint(entry_slot(e));
-      return;
-    }
+    if (!e.mispredicted) return;
     brupdate_mispredict_ = true;
     const bool suppress = cfg_.vuln.zenbleed_emulation &&
                           csr_.read(csr::kZenbleedEn) != 0;
-    res.coverage.condition("rename.rollback_suppressed", suppress);
+    res.coverage.hit(CoverageSite::kRenameRollbackSuppressed, suppress);
     squash_younger(e.seq, suppress);
     rename_.rollback(entry_slot(e), suppress);
     fetch_pc_ = e.actual_next;
     fetch_stalled_ = false;  // a wrong-path trap no longer blocks fetch
   }
 
+  /// Slot-index order, not ring order: squashed registers go onto the
+  /// LIFO free list in this order, which decides what later allocations
+  /// return.
   void squash_younger(std::uint64_t branch_seq, bool suppress) {
     for (auto& e : rob_) {
       if (!e.valid || e.squashed || e.seq <= branch_seq) continue;
       e.squashed = true;
       e.done = true;
       if (e.unsafe && !e.resolved) {
-        rename_.release_checkpoint(entry_slot(e));
         e.resolved = true;
         --unsafe_count_;
       }
@@ -405,7 +401,7 @@ class Core {
     if (halted_ || rob_full() || fetch_stalled_) return;
     const std::uint32_t word = mem_.fetch(fetch_pc_);
     const DecodedInst& dec = decode_at(fetch_pc_, word);
-    res.coverage.branch("decode.valid", dec.valid());
+    res.coverage.hit(CoverageSite::kDecodeValid, dec.valid());
 
     if (!dec.valid()) {
       // Illegal instruction: occupies a slot; committing one halts the
@@ -536,7 +532,7 @@ class Core {
     const std::uint64_t va = base + static_cast<std::uint64_t>(e.dec.imm);
     std::uint64_t pa = va;
     const bool tlb_hit = tlb_.translate(va, pa);
-    res.coverage.branch("tlb.hit", tlb_hit);
+    res.coverage.hit(CoverageSite::kTlbHit, tlb_hit);
     lsu_addr_ = pa;
     e.mem_addr = pa;
     e.mem_size = riscv::access_size(e.dec.op);
@@ -545,8 +541,8 @@ class Core {
     // caused here persist even if this load is squashed.
     std::uint64_t raw = 0;
     const bool hit = dcache_.load(pa, e.mem_size, raw);
-    res.coverage.branch("dcache.hit", hit);
-    res.coverage.fsm("dcache.state", hit ? 0 : 1);
+    res.coverage.hit(CoverageSite::kDcacheHit, hit);
+    res.coverage.hit(CoverageSite::kDcacheState, !hit);
     lsu_load_data_ = raw;
     e.result = extend_load(e.dec.op, raw);
     // Taint: speculatively loaded data, or data reached through a tainted
@@ -554,7 +550,7 @@ class Core {
     e.result_tainted = in_window;
     if (addr_taint && in_window) {
       tainted_access_ = true;
-      res.coverage.condition("lsu.tainted_spec_access", true);
+      res.coverage.hit(CoverageSite::kLsuTaintedSpecAccess, true);
     }
     e.ready_cycle =
         cycle_ + (hit ? cfg_.load_hit_latency : cfg_.load_miss_latency);
@@ -566,7 +562,7 @@ class Core {
     const std::uint64_t va = base + static_cast<std::uint64_t>(e.dec.imm);
     std::uint64_t pa = va;
     const bool tlb_hit = tlb_.translate(va, pa);
-    res.coverage.branch("tlb.hit", tlb_hit);
+    res.coverage.hit(CoverageSite::kTlbHit, tlb_hit);
     lsu_addr_ = pa;
     e.is_store = true;
     e.mem_addr = pa;
@@ -579,7 +575,7 @@ class Core {
   void issue_branch(RobEntry& e, std::uint64_t a, std::uint64_t b,
                     RunResult& res) {
     const Prediction pred = bp_.predict_branch(e.pc);
-    res.coverage.branch("bp.pred_taken", pred.taken);
+    res.coverage.hit(CoverageSite::kBpPredTaken, pred.taken);
     const std::uint64_t taken_target =
         e.pc + static_cast<std::uint64_t>(e.dec.imm);
     e.is_ctrl = true;
@@ -628,7 +624,8 @@ class Core {
   void issue_csr(RobEntry& e, std::uint64_t rs1_value, RunResult& res) {
     allocate_rd(e);
     const std::uint64_t old = csr_.read(e.dec.csr);
-    res.coverage.condition("csr.implemented", csr_.implemented(e.dec.csr));
+    res.coverage.hit(CoverageSite::kCsrImplemented,
+                     csr_.implemented(e.dec.csr));
     e.result = old;
     const std::uint64_t operand =
         riscv::format_of(e.dec.op) == riscv::Format::kCsrImm
@@ -780,7 +777,7 @@ class Core {
     return 0;
   }
 
-  /// Slot index of an entry (used as the rename checkpoint key).
+  /// Slot index of an entry (the rename checkpoint slot).
   unsigned entry_slot(const RobEntry& e) const {
     return static_cast<unsigned>(&e - rob_.data());
   }

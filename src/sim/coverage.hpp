@@ -6,57 +6,79 @@
 // outputs.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 namespace specure::sim {
 
-/// Accumulates covered points during one simulation run. The point
-/// universe is stable across runs (ids are hashes of site names), so maps
-/// from different runs can be merged to compute campaign coverage.
+/// The core's instrumented coverage sites. Each has two outcomes, so the
+/// point universe is 2 × kCount points: site s with outcome o is bit
+/// 2 * s + o of CoverageRecorder::points(). The numbering is part of the
+/// campaign state format.
+enum class CoverageSite : std::uint8_t {
+  kDecodeValid,               ///< branch: fetched word decodes
+  kTlbHit,                    ///< branch: load/store TLB lookup hits
+  kDcacheHit,                 ///< branch: load hits the data cache
+  kDcacheState,               ///< FSM: data-cache state (0 hit, 1 miss)
+  kBpPredTaken,               ///< branch: conditional branch predicted taken
+  kRobResolveMispredict,      ///< branch: control resolves mispredicted
+  kRenameRollbackSuppressed,  ///< condition: Zenbleed suppresses rollback
+  kLsuStoreMapped,            ///< branch: committed store hits mapped data
+  kLsuTaintedSpecAccess,      ///< condition: tainted speculative access
+  kCsrImplemented,            ///< condition: accessed CSR is implemented
+  kCount
+};
+
+/// Accumulates covered points during one simulation run, or across runs
+/// when merged into a campaign-wide recorder.
 class CoverageRecorder {
  public:
-  /// Record a two-way branch decision at a named RTL site.
-  void branch(std::string_view site, bool taken);
+  static constexpr unsigned kPointCount =
+      2 * static_cast<unsigned>(CoverageSite::kCount);
+  /// Every point bit a recorder can hold.
+  static constexpr std::uint64_t kAllPoints =
+      (std::uint64_t{1} << kPointCount) - 1;
 
-  /// Record an FSM occupying a state.
-  void fsm(std::string_view machine, std::uint32_t state);
-
-  /// Record a boolean condition evaluation (condition coverage).
-  void condition(std::string_view site, bool value);
+  /// Record one outcome at a site (a branch direction, an FSM state of a
+  /// two-state machine, a condition value).
+  void hit(CoverageSite site, bool outcome) {
+    points_ |= std::uint64_t{1} << (2 * static_cast<unsigned>(site) +
+                                    (outcome ? 1 : 0));
+  }
 
   /// Record a signal bit-toggle count bucket (toggle coverage summary).
   void toggles(std::uint64_t bits_toggled) { toggle_bits_ += bits_toggled; }
 
-  /// Covered point keys: "b:<site>:<dir>", "f:<machine>:<state>",
-  /// "c:<site>:<val>".
-  const std::unordered_set<std::string>& points() const { return points_; }
+  /// Covered points, one bit each (see CoverageSite).
+  std::uint64_t points() const { return points_; }
   std::uint64_t toggle_bits() const { return toggle_bits_; }
 
-  std::size_t point_count() const { return points_.size(); }
+  std::size_t point_count() const {
+    return static_cast<std::size_t>(std::popcount(points_));
+  }
 
   /// Merge another run's points into this accumulator. Returns the number
   /// of *new* points contributed (the fuzzer's "is this input interesting"
   /// signal).
-  std::size_t merge(const CoverageRecorder& other);
+  std::size_t merge(const CoverageRecorder& other) {
+    const std::uint64_t fresh = other.points_ & ~points_;
+    points_ |= other.points_;
+    toggle_bits_ += other.toggle_bits_;
+    return static_cast<std::size_t>(std::popcount(fresh));
+  }
 
-  /// Overwrite the accumulator from a saved point list + toggle count
-  /// (campaign state restore; the serializer saves points() sorted so the
-  /// on-disk form is deterministic, order here is irrelevant).
-  void restore(const std::vector<std::string>& points,
-               std::uint64_t toggle_bits) {
-    points_.clear();
-    points_.insert(points.begin(), points.end());
+  /// Overwrite the accumulator from a saved point mask + toggle count
+  /// (campaign state restore).
+  void restore(std::uint64_t points, std::uint64_t toggle_bits) {
+    points_ = points;
     toggle_bits_ = toggle_bits;
   }
 
-  void clear();
+  void clear() { restore(0, 0); }
 
  private:
-  std::unordered_set<std::string> points_;
+  std::uint64_t points_ = 0;
   std::uint64_t toggle_bits_ = 0;
 };
 

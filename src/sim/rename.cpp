@@ -5,7 +5,10 @@
 namespace specure::sim {
 
 RenameStage::RenameStage(const CoreConfig& cfg)
-    : cfg_(cfg), prf_(cfg.phys_regs, 0), rev_(cfg.phys_regs, kUnmapped) {
+    : cfg_(cfg),
+      prf_(cfg.phys_regs, 0),
+      checkpoints_(cfg.rob_entries),
+      rev_(cfg.phys_regs, kUnmapped) {
   // Identity initial mapping: arch i -> phys i; the rest are free.
   for (unsigned i = 0; i < 32; ++i) maptable_[i] = static_cast<PhysReg>(i);
   for (unsigned p = cfg.phys_regs; p-- > 32;) {
@@ -54,28 +57,15 @@ void RenameStage::checkpoint(unsigned rob_index) {
 }
 
 void RenameStage::rollback(unsigned rob_index, bool suppress_restore) {
-  auto it = checkpoints_.find(rob_index);
-  if (it != checkpoints_.end()) {
-    if (!suppress_restore) {
-      maptable_ = it->second;
-      rebuild_rev();
-      if (dirty_ != nullptr) {
-        // Any subset of the 32 mappings may have reverted, and with them
-        // the derived architectural views. Conservative is exact.
-        dirty_->mark_range(maptable_base_, 32);
-        dirty_->mark_range(rfx_base_, 32);
-      }
-    }
-    // Drop this and all younger checkpoints. Checkpoint keys are ROB
-    // indices of still-unresolved branches; "younger" here is handled by
-    // the core, which rolls back the youngest mispredicted branch first
-    // and squashes the rest individually.
-    checkpoints_.erase(it);
+  if (suppress_restore) return;
+  maptable_ = checkpoints_[rob_index];
+  rebuild_rev();
+  if (dirty_ != nullptr) {
+    // Any subset of the 32 mappings may have reverted, and with them the
+    // derived architectural views. Conservative is exact.
+    dirty_->mark_range(maptable_base_, 32);
+    dirty_->mark_range(rfx_base_, 32);
   }
-}
-
-void RenameStage::release_checkpoint(unsigned rob_index) {
-  checkpoints_.erase(rob_index);
 }
 
 void RenameStage::commit_free(PhysReg old_phys) {

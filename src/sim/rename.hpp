@@ -1,5 +1,6 @@
 // Rename stage: architectural-to-physical map table, free list and the
-// physical register file, with per-branch checkpoints of the map table.
+// physical register file, with per-branch checkpoints of the map table
+// (one per ROB slot).
 //
 // On a misprediction the checkpoint is restored — unless the Zenbleed
 // emulation is active (zenbleed_en CSR non-zero), in which case the
@@ -10,7 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -48,17 +48,16 @@ class RenameStage {
   /// `old_phys` receives the previous mapping (to free at commit).
   bool allocate(unsigned arch, PhysReg& new_phys, PhysReg& old_phys);
 
-  /// Checkpoint the map table, keyed by the ROB index of a branch.
+  /// Checkpoint the map table into the slot of the branch at ROB index
+  /// `rob_index`. A branch retires only after it resolves, so its slot
+  /// (and checkpoint) cannot be reused while the branch may still roll
+  /// back; a slot needs no freeing.
   void checkpoint(unsigned rob_index);
 
-  /// Misprediction rollback: restore the checkpoint taken at `rob_index`
-  /// and drop younger checkpoints. When `suppress_restore` (Zenbleed) the
-  /// map table is left as-is and only the checkpoint bookkeeping is
-  /// cleaned up.
+  /// Misprediction rollback: restore the checkpoint taken at `rob_index`.
+  /// The core squashes the younger entries itself. When
+  /// `suppress_restore` (Zenbleed) the map table is left as-is.
   void rollback(unsigned rob_index, bool suppress_restore);
-
-  /// Branch resolved correctly: discard its checkpoint.
-  void release_checkpoint(unsigned rob_index);
 
   /// Commit an instruction that renamed `old_phys` away: the old physical
   /// register is returned to the free list.
@@ -103,7 +102,7 @@ class RenameStage {
   std::array<PhysReg, 32> maptable_{};
   std::vector<PhysReg> freelist_;
   std::vector<std::uint64_t> prf_;
-  std::map<unsigned, std::array<PhysReg, 32>> checkpoints_;  ///< by ROB index
+  std::vector<std::array<PhysReg, 32>> checkpoints_;  ///< one per ROB slot
 
   // Dirty-set wiring (capture engine): null until bind_dirty.
   DirtySet* dirty_ = nullptr;

@@ -244,17 +244,28 @@ TEST_F(StateRejection, VersionSkewIsRefusedNotMisparsed) {
 
 TEST_F(StateRejection, VersionOneStateIsRefused) {
   // Version 1 files carry per-job parent fields, version 2 files a
-  // `pipeline` spec key and version 3 files the batch-cadence counters,
-  // none of which this build can read.
-  for (const char version : {1, 2, 3}) {
+  // `pipeline` spec key, version 3 files the batch-cadence counters and
+  // version 4 files per-job RNG seeds and coverage point names, none of
+  // which this build can read.
+  for (const char version : {1, 2, 3, 4}) {
     std::string old = bytes_;
     old[8] = version;
     const std::string message = expect_load_error(old);
     EXPECT_NE(message.find("format version " + std::to_string(version)),
               std::string::npos)
         << message;
-    EXPECT_NE(message.find("reads version 4"), std::string::npos) << message;
+    EXPECT_NE(message.find("reads version 5"), std::string::npos) << message;
   }
+}
+
+TEST_F(StateRejection, CoverageMaskBeyondThePointsIsRefused) {
+  CampaignState state = decode_state(bytes_, "test");
+  EXPECT_NE(state.frontier.coverage_mask, 0u);
+  state.frontier.coverage_mask |= std::uint64_t{1}
+                                  << sim::CoverageRecorder::kPointCount;
+  const std::string message =
+      expect_load_error(encode_state(state.spec, state.frontier));
+  EXPECT_NE(message.find("code coverage mask"), std::string::npos) << message;
 }
 
 TEST_F(StateRejection, ResultAffectingSpecChangeIsListed) {

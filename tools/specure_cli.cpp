@@ -37,12 +37,14 @@
 
 #include <atomic>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -174,6 +176,29 @@ bool parse_args(int argc, char** argv, int first,
     }
   }
   return true;
+}
+
+/// The one reader for numeric arguments: the whole token must be a
+/// number in `base` (base 16 also takes a leading 0x) that fits in `bits`
+/// bits. Otherwise it names the argument on stderr and returns false; the
+/// caller exits kExitUsage.
+bool parse_number(const std::string& text, const char* name,
+                  std::uint64_t& out, int base = 10, unsigned bits = 64) {
+  std::string_view digits = text;
+  if (base == 16 && (digits.starts_with("0x") || digits.starts_with("0X"))) {
+    digits.remove_prefix(2);
+  }
+  const char* end = digits.data() + digits.size();
+  const auto parsed = std::from_chars(digits.data(), end, out, base);
+  if (parsed.ec == std::errc() && parsed.ptr == end &&
+      (bits >= 64 || out >> bits == 0)) {
+    return true;
+  }
+  std::fprintf(stderr, "specure: %s: '%s' is not a %s", name, text.c_str(),
+               base == 16 ? "hexadecimal number" : "non-negative integer");
+  if (bits < 64) std::fprintf(stderr, " of at most %u bits", bits);
+  std::fprintf(stderr, "\n");
+  return false;
 }
 
 // ------------------------------------------------------------- spec helpers --
@@ -503,9 +528,12 @@ int cmd_sweep(const Args& args) {
       (void)total;
     });
   }
-  const std::size_t concurrency = static_cast<std::size_t>(
-      std::strtoull(args.get("--concurrency", "0").c_str(), nullptr, 10));
-  const auto rows = sweep.run(concurrency);
+  std::uint64_t concurrency = 0;
+  if (!parse_number(args.get("--concurrency", "0"), "--concurrency",
+                    concurrency)) {
+    return kExitUsage;
+  }
+  const auto rows = sweep.run(static_cast<std::size_t>(concurrency));
 
   std::printf("Specure sweep: %zu scenarios\n\n", rows.size());
   core::Sweep::write_table(std::cout, rows);
@@ -541,8 +569,10 @@ int cmd_triage(const Args& args) {
     return kExitUsage;
   }
   const std::string& input = args.positional[0];
-  const std::size_t jobs = static_cast<std::size_t>(
-      std::strtoull(args.get("--jobs", "0").c_str(), nullptr, 10));
+  std::uint64_t jobs = 0;
+  if (!parse_number(args.get("--jobs", "0"), "--jobs", jobs)) {
+    return kExitUsage;
+  }
 
   triage::TriageReport triaged;
   if (input.size() > 5 && input.substr(input.size() - 5) == ".json") {
@@ -732,13 +762,15 @@ int cmd_disasm(const Args& args) {
     std::fprintf(stderr, "usage: specure disasm HEXWORD [PC]\n");
     return kExitUsage;
   }
-  const std::uint32_t word = static_cast<std::uint32_t>(
-      std::strtoull(args.positional[0].c_str(), nullptr, 16));
-  const std::uint64_t pc =
-      args.positional.size() > 1
-          ? std::strtoull(args.positional[1].c_str(), nullptr, 16)
-          : riscv::kCodeBase;
-  std::printf("%08x: %s\n", word, riscv::disassemble(word, pc).c_str());
+  std::uint64_t word = 0;
+  std::uint64_t pc = riscv::kCodeBase;
+  if (!parse_number(args.positional[0], "HEXWORD", word, 16, 32) ||
+      (args.positional.size() > 1 &&
+       !parse_number(args.positional[1], "PC", pc, 16))) {
+    return kExitUsage;
+  }
+  std::printf("%08x: %s\n", static_cast<std::uint32_t>(word),
+              riscv::disassemble(static_cast<std::uint32_t>(word), pc).c_str());
   return kExitOk;
 }
 
@@ -758,10 +790,13 @@ int cmd_serve(const Args& args) {
   serve::ServerOptions options;
   options.socket_path = args.get("--socket", kDefaultSocket);
   options.store_root = args.get("--store", kDefaultStore);
-  options.workers = static_cast<std::size_t>(
-      std::strtoull(args.get("--workers", "0").c_str(), nullptr, 10));
-  options.slice_iterations =
-      std::strtoull(args.get("--slice", "32").c_str(), nullptr, 10);
+  std::uint64_t workers = 0;
+  if (!parse_number(args.get("--workers", "0"), "--workers", workers) ||
+      !parse_number(args.get("--slice", "32"), "--slice",
+                    options.slice_iterations)) {
+    return kExitUsage;
+  }
+  options.workers = static_cast<std::size_t>(workers);
 
   // Block the stop signals before the server spawns any thread (the mask
   // is inherited), then watch for them next to the serving thread:
@@ -937,15 +972,8 @@ int cmd_events(const Args& args) {
                  "[--no-follow] [--socket PATH]\n");
     return kExitUsage;
   }
-  // Checked here: the value is pasted into the request JSON.
-  const std::string from_text = args.get("--from", "0");
   std::uint64_t from = 0;
-  const char* from_end = from_text.data() + from_text.size();
-  const auto parsed_from = std::from_chars(from_text.data(), from_end, from);
-  if (parsed_from.ec != std::errc() || parsed_from.ptr != from_end) {
-    std::fprintf(stderr,
-                 "specure: --from: '%s' is not a non-negative event index\n",
-                 from_text.c_str());
+  if (!parse_number(args.get("--from", "0"), "--from", from)) {
     return kExitUsage;
   }
   serve::Client client(args.get("--socket", kDefaultSocket));
