@@ -136,6 +136,9 @@ const std::vector<KeyDef>& key_table() {
       SPEC_UNSIGNED("dcache_line_bytes", "core", core.dcache_line_bytes),
       SPEC_UNSIGNED("tlb_entries", "core", core.tlb_entries),
       SPEC_UNSIGNED("page_bits", "core", core.page_bits),
+      // The ceiling on one run's cycles. Most runs end before it, at a
+      // halt or once quiescent (sim::CoreConfig::quiet_cycles, which
+      // deliberately has no key).
       SPEC_U64("max_cycles", "core", core.max_cycles),
       SPEC_U64("mwait_timer_start", "core", core.mwait_timer_start),
       SPEC_BOOL("mwait", "core", core.vuln.mwait_emulation),

@@ -16,12 +16,15 @@ CampaignWorker::CampaignWorker(const sim::CoreConfig& core,
 void CampaignWorker::set_observability(const WorkerObservability& hooks) {
   tracer_ = hooks.tracer;
   lane_ = hooks.lane;
-  execute_ns_ = jobs_ = capped_runs_ = obs::Counter();
+  execute_ns_ = jobs_ = quiescent_runs_ = capped_runs_ = windows_ =
+      obs::Counter();
   execute_hist_ = run_cycles_ = obs::Histogram();
   if (hooks.registry != nullptr) {
     execute_ns_ = hooks.registry->counter("worker/execute_ns");
     jobs_ = hooks.registry->counter("worker/jobs");
+    quiescent_runs_ = hooks.registry->counter("sim/quiescent_runs");
     capped_runs_ = hooks.registry->counter("sim/capped_runs");
+    windows_ = hooks.registry->counter("mst/windows");
     if (hooks.histograms) {
       execute_hist_ = hooks.registry->histogram("hist/execute_ns");
       run_cycles_ = hooks.registry->histogram("hist/run_cycles");
@@ -45,10 +48,13 @@ void CampaignWorker::process(const fuzz::FuzzJob& job,
   for (VulnReport& report : out.reports) report.program = job.program;
   out.coverage = scratch_.coverage;
   out.cycles = scratch_.cycles;
-  // Simulation cost per iteration follows run length, and runs that
-  // exhaust the cycle budget are its long tail.
+  // Simulation cost per iteration follows run length: how runs end
+  // (quiescent, or at the max_cycles ceiling) and how many windows each
+  // one yields explain it.
   run_cycles_.record(lane_, out.cycles);
+  if (scratch_.quiescent) quiescent_runs_.add(lane_);
   if (out.cycles >= sim_.config().max_cycles) capped_runs_.add(lane_);
+  windows_.add(lane_, out.windows.size());
 
   const auto e1 = std::chrono::steady_clock::now();
   const auto ns = static_cast<std::uint64_t>(

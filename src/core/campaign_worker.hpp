@@ -33,11 +33,11 @@ namespace specure::core {
 
 /// Observability wiring the session hands each worker before a run():
 /// registry instruments on the worker's lane (time inside process(), jobs
-/// processed, runs that hit max_cycles and — with `histograms` — execute
-/// time and cycles per run) and, when tracing, the span recorder the
-/// worker emits execute spans into. All-default (null) wiring makes every
-/// instrumentation site a no-op; nothing here ever affects simulation
-/// results.
+/// processed, runs that went quiescent, runs that hit max_cycles, windows
+/// extracted and — with `histograms` — execute time and cycles per run)
+/// and, when tracing, the span recorder the worker emits execute spans
+/// into. All-default (null) wiring makes every instrumentation site a
+/// no-op; nothing here ever affects simulation results.
 struct WorkerObservability {
   obs::Registry* registry = nullptr;
   obs::TraceRecorder* tracer = nullptr;
@@ -101,7 +101,9 @@ class CampaignWorker {
   // no registry is attached; tracer_ == nullptr skips every span site.
   obs::Counter execute_ns_;
   obs::Counter jobs_;
+  obs::Counter quiescent_runs_;
   obs::Counter capped_runs_;
+  obs::Counter windows_;
   obs::Histogram execute_hist_;
   obs::Histogram run_cycles_;
   obs::TraceRecorder* tracer_ = nullptr;

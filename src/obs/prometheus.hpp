@@ -13,8 +13,8 @@
 // spliced into every series verbatim.
 #pragma once
 
-#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -25,7 +25,10 @@ namespace specure::obs {
 /// well-formed exposition: every family's samples grouped under a single
 /// `# TYPE` line, families in first-seen order. This is what makes the
 /// daemon's multi-tenant exposition valid — N tenants share the family
-/// names and differ only in their `id` label.
+/// names and differ only in their `id` label. Sample lines go into one
+/// buffer that families index by span, so a render allocates only as a
+/// few buffers grow: scrapes run beside busy workers, where every cache
+/// line a render touches costs more.
 class PrometheusRenderer {
  public:
   /// Add every series of `snapshot` under `labels` (either empty or a
@@ -42,14 +45,29 @@ class PrometheusRenderer {
 
  private:
   struct Family {
+    std::string name;  ///< exposition name, e.g. "specure_jobs_total"
     std::string type;  ///< "counter" | "gauge" | "histogram"
-    std::string text;  ///< rendered sample lines, each ending in '\n'
+  };
+  /// The sample lines one instrument (or ad-hoc sample) contributed to
+  /// one family: the span [begin, end) of lines_.
+  struct Block {
+    std::size_t family = 0;  ///< index into families_
+    std::size_t begin = 0;
+    std::size_t end = 0;
   };
 
-  Family& family(const std::string& name, const char* type);
+  /// Start a block in the family named name_ (registering the family
+  /// with `type` on first sight).
+  void open_block(const char* type);
+  /// Append one sample line, `name_suffix{labels,extra} value`, to the
+  /// open block; the braces appear only when some label is present.
+  void append_line(std::string_view suffix, const std::string& labels,
+                   std::string_view extra, std::string_view value);
 
-  std::vector<std::string> order_;  ///< first-seen family order
-  std::map<std::string, Family> families_;
+  std::vector<Family> families_;  ///< first-seen order
+  std::vector<Block> blocks_;     ///< add order
+  std::string lines_;             ///< every block's lines, back to back
+  std::string name_;              ///< the current instrument's family name
 };
 
 /// One-snapshot convenience: append the snapshot's series to `out`.

@@ -38,8 +38,11 @@ namespace specure::serve {
 /// key; version 4 dropped the batch-cadence counters and escapes the
 /// embedded spec TOML's strings; version 5 stores code coverage as one
 /// point mask instead of point names and drops the in-flight jobs' RNG
-/// seeds.
-constexpr std::uint32_t kStateFormatVersion = 5;
+/// seeds. Version 6 keeps version 5's layout: it marks frontiers produced
+/// under the quiescence rule (sim::CoreConfig::quiet_cycles), since a
+/// version 5 frontier came from ceiling-only runs and resuming it here
+/// would splice two run definitions into one campaign.
+constexpr std::uint32_t kStateFormatVersion = 6;
 
 struct CampaignState {
   core::CampaignSpec spec;          ///< the spec the campaign ran under

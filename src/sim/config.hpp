@@ -54,7 +54,19 @@ struct CoreConfig {
   unsigned page_bits = 12;
 
   // Execution limits.
+  /// The hard ceiling: a run that has neither halted nor gone quiescent
+  /// by this cycle stops here (RunResult::halted_clean stays false).
   std::uint64_t max_cycles = 4096;
+
+  /// Quiescence horizon. A run also ends, before the ceiling, once it
+  /// has gone this many cycles without committing a PC it had never
+  /// committed before and without an architectural leak event (a
+  /// Zenbleed-suppressed rollback, a monitored-line clear of the (M)WAIT
+  /// timer), while no (M)WAIT countdown is armed. Such a run is a prefix
+  /// of the ceiling-only run and reports RunResult::quiescent. 0 turns
+  /// the rule off: the ceiling-only run, kept as the differential oracle.
+  /// Deliberately a CoreConfig field only, with no spec key.
+  std::uint64_t quiet_cycles = 2048;
 
   // MWAIT emulation: countdown start value loaded when mwait_en is armed.
   std::uint64_t mwait_timer_start = 1024;

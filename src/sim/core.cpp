@@ -14,6 +14,7 @@ void RunResult::reset() {
   cycles = 0;
   instructions_committed = 0;
   halted_clean = false;
+  quiescent = false;
   final_data.clear();
 }
 
@@ -32,7 +33,7 @@ RunResult Simulator::run(const riscv::Program& program) const {
 }
 
 void Simulator::run(const riscv::Program& program, RunResult& out) const {
-  Core core(cfg_, descs_, layout_, db_, decode_scratch_);
+  Core core(cfg_, descs_, layout_, db_, decode_scratch_, committed_scratch_);
   core.run(program, out);
 }
 

@@ -60,6 +60,9 @@ struct RunResult {
   std::uint64_t cycles = 0;
   std::uint64_t instructions_committed = 0;
   bool halted_clean = false;  ///< ECALL/EBREAK commit or fall-off-end
+  /// Ended before max_cycles by the quiescence rule
+  /// (CoreConfig::quiet_cycles); halted_clean is false then.
+  bool quiescent = false;
   /// Final data-memory image (committed stores applied), for
   /// architectural end-state comparison.
   std::vector<std::uint8_t> final_data;
@@ -101,6 +104,9 @@ class Simulator {
   /// (campaign workers, minimizer probe workers, session/baseline sims)
   /// is thread-private by construction.
   mutable riscv::DecodedProgram decode_scratch_;
+  /// Per-program committed-PC bitset (one bit per code word), reused
+  /// across runs the same way.
+  mutable std::vector<std::uint64_t> committed_scratch_;
 };
 
 }  // namespace specure::sim

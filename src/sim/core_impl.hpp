@@ -129,7 +129,8 @@ class Core {
  public:
   Core(const CoreConfig& cfg, const std::vector<SigDesc>& descs,
        const SignalLayout& layout, const snapshot::SignalDb& db,
-       riscv::DecodedProgram& decode_buf)
+       riscv::DecodedProgram& decode_buf,
+       std::vector<std::uint64_t>& committed_buf)
       : cfg_(cfg),
         descs_(descs),
         layout_(layout),
@@ -142,7 +143,8 @@ class Core {
         rob_(cfg.rob_entries),
         prf_ready_(cfg.phys_regs, true),
         prf_taint_(cfg.phys_regs, false),
-        decode_buf_(decode_buf) {
+        decode_buf_(decode_buf),
+        committed_(committed_buf) {
     dcache_.set_line_change_hook([this](std::uint64_t line, DcacheEvent ev) {
       on_cache_line_event(line, ev);
     });
@@ -177,6 +179,7 @@ class Core {
     }
     mem_.load(program);
     decode_buf_.build(program.code);
+    committed_.assign((program.code.size() + 63) / 64, 0);
     fetch_pc_ = riscv::kCodeBase;
     loop(res);
     res.cycles = cycle_;
@@ -195,7 +198,40 @@ class Core {
       csr_.tick();
       capture(res);
       if (rob_count_ == 0 && fetch_done()) break;
+      if (quiescent()) {
+        res.quiescent = true;
+        break;
+      }
     }
+  }
+
+  /// The quiescence rule (CoreConfig::quiet_cycles), tested after
+  /// capture() so the last simulated cycle is in the trace. Every
+  /// in-flight latency other than the (M)WAIT countdown is at most
+  /// branch_resolve_latency, far inside the horizon, so an armed
+  /// countdown is the only pending state the rule has to wait out.
+  bool quiescent() const {
+    return cfg_.quiet_cycles != 0 && cycle_ < cfg_.max_cycles &&
+           cycle_ - last_progress_ >= cfg_.quiet_cycles &&
+           !csr_.countdown_armed();
+  }
+
+  /// Restart the quiescence horizon: a first commit of a PC, or an
+  /// architectural leak event.
+  void progress() { last_progress_ = cycle_; }
+
+  /// Sets the PC's bit in the committed-PC bitset; true if it was clear.
+  /// A PC off the code image counts as new (it fetched word 0, an illegal
+  /// instruction, so committing it halts).
+  bool first_commit(std::uint64_t pc) {
+    if (pc < riscv::kCodeBase || (pc & 3) != 0) return true;
+    const std::uint64_t index = (pc - riscv::kCodeBase) / 4;
+    if (index >= decode_buf_.insts.size()) return true;
+    std::uint64_t& word = committed_[index / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (index % 64);
+    if ((word & bit) != 0) return false;
+    word |= bit;
+    return true;
   }
 
   // ------------------------------------------------------------ helpers --
@@ -256,6 +292,7 @@ class Core {
     if (ev == DcacheEvent::kHit) return;
     if (csr_.monitoring(line, cfg_.dcache_line_bytes)) {
       csr_.on_monitored_line_change();
+      progress();  // the (M)WAIT leak
     }
   }
 
@@ -308,6 +345,7 @@ class Core {
       rec.csr = e.csr_addr;
     }
     if (e.is_halt) halted_ = true;
+    if (first_commit(e.pc)) progress();
     commit_valid_ = true;
     commit_pc_ = e.pc;
     commit_inst_ = e.dec.raw;
@@ -369,6 +407,7 @@ class Core {
     const bool suppress = cfg_.vuln.zenbleed_emulation &&
                           csr_.read(csr::kZenbleedEn) != 0;
     res.coverage.hit(CoverageSite::kRenameRollbackSuppressed, suppress);
+    if (suppress) progress();  // the Zenbleed leak
     squash_younger(e.seq, suppress);
     rename_.rollback(entry_slot(e), suppress);
     fetch_pc_ = e.actual_next;
@@ -811,6 +850,11 @@ class Core {
 
   riscv::DecodedProgram& decode_buf_;  ///< simulator-owned scratch buffer
   DecodedInst scratch_dec_;            ///< off-image decode_at() result
+
+  /// Committed-PC bitset over the code words (simulator-owned buffer) and
+  /// the cycle the quiescence horizon last restarted.
+  std::vector<std::uint64_t>& committed_;
+  std::uint64_t last_progress_ = 0;
 
   /// The capture engine's change list: components mark into it as they
   /// write (bound in the constructor), capture() drains it every cycle.

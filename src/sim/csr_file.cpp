@@ -54,6 +54,11 @@ void CsrFile::tick() {
   }
 }
 
+bool CsrFile::countdown_armed() const {
+  return cfg_.vuln.mwait_emulation && read(csr::kMwaitEn) != 0 &&
+         read(csr::kMwaitTimer) > 1;
+}
+
 void CsrFile::on_monitored_line_change() {
   if (!cfg_.vuln.mwait_emulation) return;
   if (values_[index_of(csr::kMwaitEn)] == 0) return;

@@ -46,6 +46,10 @@ class CsrFile {
   /// describes). No-op unless mwait emulation is configured and armed.
   void tick();
 
+  /// True while tick() still has a countdown to advance: emulation
+  /// configured and armed, and the timer above one.
+  bool countdown_armed() const;
+
   /// Data-cache hook target: a monitored-line change zeroes the timer.
   void on_monitored_line_change();
 

@@ -4,7 +4,8 @@
 // is its own test executable. It counts the allocations one
 // Simulator::run makes into a warmed, reused RunResult. A run still builds
 // a fresh Core, which allocates a fixed amount; anything the loop
-// allocates per cycle would make a long run cost more than a short one.
+// allocates per cycle would make a long run cost more than a short one,
+// whether it ends at its ECALL or once it goes quiescent.
 //
 // AddressSanitizer and ThreadSanitizer supply their own operator new, so
 // under them the replacement is left out and the test skips.
@@ -72,9 +73,17 @@ std::size_t allocations_during_run(const Simulator& sim,
   return g_allocations - before;
 }
 
+/// The ceiling-only run (no quiescence rule): the long loop runs to its
+/// ECALL, 3238 cycles.
+CoreConfig ceiling_only() {
+  CoreConfig cfg;
+  cfg.quiet_cycles = 0;
+  return cfg;
+}
+
 TEST(Alloc, RunLengthDoesNotChangeAllocationCount) {
   if (!SPECURE_COUNTING_NEW) GTEST_SKIP() << "sanitizer owns operator new";
-  const Simulator sim{CoreConfig{}};
+  const Simulator sim{ceiling_only()};
   RunResult res(&sim.signal_db());
   // Grow every reusable buffer of `res` past what the measured runs need.
   sim.run(loop_program(2000), res);
@@ -91,6 +100,30 @@ TEST(Alloc, RunLengthDoesNotChangeAllocationCount) {
   EXPECT_EQ(short_allocs, long_allocs)
       << short_cycles << "-cycle run: " << short_allocs << " allocations, "
       << res.cycles << "-cycle run: " << long_allocs;
+}
+
+TEST(Alloc, QuiescentRunAllocatesLikeAShortOne) {
+  if (!SPECURE_COUNTING_NEW) GTEST_SKIP() << "sanitizer owns operator new";
+  const Simulator sim{CoreConfig{}};
+  RunResult res(&sim.signal_db());
+  // The long loop stops committing new PCs within its first trips, so
+  // under the default config it ends quiescent, not at its ECALL. Warm
+  // the buffers with that same run.
+  const riscv::Program long_loop = loop_program(400);
+  sim.run(long_loop, res);
+  ASSERT_TRUE(res.quiescent);
+
+  const std::size_t short_allocs =
+      allocations_during_run(sim, loop_program(3), res);
+  const std::uint64_t short_cycles = res.cycles;
+  ASSERT_TRUE(res.halted_clean);
+  const std::size_t long_allocs = allocations_during_run(sim, long_loop, res);
+  ASSERT_TRUE(res.quiescent);
+  ASSERT_FALSE(res.halted_clean);
+  ASSERT_GT(res.cycles, 20 * short_cycles);
+  EXPECT_EQ(short_allocs, long_allocs)
+      << short_cycles << "-cycle run: " << short_allocs << " allocations, "
+      << res.cycles << "-cycle quiescent run: " << long_allocs;
 }
 
 }  // namespace

@@ -6,12 +6,18 @@
 // them all. These constants were recorded from an earlier build, so a
 // result change of any kind fails here.
 //
+// Each result is pinned twice. The ceiling-only run
+// (CoreConfig::quiet_cycles = 0, the differential oracle) must still
+// reproduce the constants recorded before runs could end quiescent; the
+// default config has its own constants, recorded when that rule landed.
+//
 // Update the constants only in a change that declares a result change,
 // and give the reason in CHANGES.md. A failure prints the digest the
 // build produced.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "core/session.hpp"
@@ -134,22 +140,35 @@ std::uint64_t campaign_digest(const core::CampaignResult& r) {
   return d.value();
 }
 
-TEST(Golden, SimulatorDigest) {
-  const sim::CoreConfig base;
-  const std::uint64_t base_digest = simulator_digest(base);
-  EXPECT_EQ(base_digest, 0x172e287cd8db86bfULL)
-      << std::hex << "default core digest 0x" << base_digest;
+struct SimulatorGolden {
+  unsigned rob_entries;
+  bool ceiling_only;
+  std::uint64_t digest;
+};
 
-  sim::CoreConfig small = base;
-  small.rob_entries = 8;
-  const std::uint64_t small_digest = simulator_digest(small);
-  EXPECT_EQ(small_digest, 0x77680f515f938c37ULL)
-      << std::hex << "rob_entries=8 digest 0x" << small_digest;
+TEST(Golden, SimulatorDigest) {
+  const SimulatorGolden cases[] = {
+      {16, true, 0x172e287cd8db86bfULL},
+      {8, true, 0x77680f515f938c37ULL},
+      {16, false, 0xd163672d9d8ae9a0ULL},
+      {8, false, 0xbd0f114e84d0622cULL},
+  };
+  for (const SimulatorGolden& c : cases) {
+    sim::CoreConfig cfg;
+    cfg.rob_entries = c.rob_entries;
+    if (c.ceiling_only) cfg.quiet_cycles = 0;
+    const std::uint64_t digest = simulator_digest(cfg);
+    EXPECT_EQ(digest, c.digest)
+        << std::hex << "rob_entries=" << std::dec << c.rob_entries
+        << (c.ceiling_only ? " ceiling-only" : "") << " digest 0x"
+        << std::hex << digest;
+  }
 }
 
 struct CampaignGolden {
   const char* preset;
   std::uint64_t seed;
+  bool ceiling_only;
   std::size_t lp;
   std::size_t points;
   std::size_t findings;
@@ -158,24 +177,28 @@ struct CampaignGolden {
 
 TEST(Golden, CampaignDigest) {
   const CampaignGolden cases[] = {
-      {"default", 7, 703, 18, 0, 0xed6f87437f8fe198ULL},
-      {"codecov", 7, 671, 18, 0, 0xddc0bb4bdf37e343ULL},
-      {"full", 9, 884, 17, 3, 0x1a83fa9cbdeb3459ULL},
+      {"default", 7, true, 703, 18, 0, 0xed6f87437f8fe198ULL},
+      {"codecov", 7, true, 671, 18, 0, 0xddc0bb4bdf37e343ULL},
+      {"full", 9, true, 884, 17, 3, 0x1a83fa9cbdeb3459ULL},
+      {"default", 7, false, 703, 18, 0, 0xa0ebe48c16192e1dULL},
+      {"codecov", 7, false, 671, 18, 0, 0xe669f7906f293b30ULL},
+      {"full", 9, false, 884, 17, 3, 0x7be60b1c989088a0ULL},
   };
   for (const CampaignGolden& c : cases) {
+    SCOPED_TRACE(std::string(c.preset) + "/" + std::to_string(c.seed) +
+                 (c.ceiling_only ? " ceiling-only" : ""));
     core::CampaignSpec spec = core::CampaignSpec::preset(c.preset);
     spec.rng_seed = c.seed;
     spec.budget.iterations = 400;
     spec.jobs = 1;
+    if (c.ceiling_only) spec.core.quiet_cycles = 0;
     const core::CampaignResult r = core::Session(spec).run();
-    ASSERT_EQ(r.history.size(), 400u) << c.preset;
-    EXPECT_EQ(r.history.back().covered_pdlc, c.lp) << c.preset;
-    EXPECT_EQ(r.history.back().coverage_points, c.points) << c.preset;
-    EXPECT_EQ(r.vulns.size(), c.findings) << c.preset;
+    ASSERT_EQ(r.history.size(), 400u);
+    EXPECT_EQ(r.history.back().covered_pdlc, c.lp);
+    EXPECT_EQ(r.history.back().coverage_points, c.points);
+    EXPECT_EQ(r.vulns.size(), c.findings);
     const std::uint64_t digest = campaign_digest(r);
-    EXPECT_EQ(digest, c.digest)
-        << std::hex << c.preset << "/" << std::dec << c.seed << " digest 0x"
-        << std::hex << digest;
+    EXPECT_EQ(digest, c.digest) << std::hex << "digest 0x" << digest;
   }
 }
 

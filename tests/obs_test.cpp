@@ -246,10 +246,12 @@ TEST(ObsPrometheus, RendersFamiliesGroupedWithLabels) {
             std::string::npos);
 
   // Two snapshots under different labels share one # TYPE line per
-  // family (the multi-tenant daemon exposition).
+  // family (the multi-tenant daemon exposition), ad-hoc samples included.
   obs::PrometheusRenderer renderer;
   renderer.add(reg.snapshot(), "id=\"a\"");
+  renderer.add_sample("tenant/iters_per_sec", "gauge", 12.5, "id=\"a\"");
   renderer.add(reg.snapshot(), "id=\"b\"");
+  renderer.add_sample("tenant/iters_per_sec", "gauge", 0.25, "id=\"b\"");
   const std::string merged = renderer.render();
   std::size_t type_lines = 0;
   for (std::size_t at = merged.find("# TYPE specure_campaign_iterations");
@@ -262,6 +264,31 @@ TEST(ObsPrometheus, RendersFamiliesGroupedWithLabels) {
             std::string::npos);
   EXPECT_NE(merged.find("specure_campaign_iterations_total{id=\"b\"} 42"),
             std::string::npos);
+
+  // The whole page, byte for byte: families in first-seen order, each
+  // family's samples in add order, doubles as "%.9g" prints them.
+  EXPECT_EQ(merged,
+            "# TYPE specure_stage_merge_seconds_total counter\n"
+            "specure_stage_merge_seconds_total{id=\"a\"} 1.5\n"
+            "specure_stage_merge_seconds_total{id=\"b\"} 1.5\n"
+            "# TYPE specure_campaign_iterations_total counter\n"
+            "specure_campaign_iterations_total{id=\"a\"} 42\n"
+            "specure_campaign_iterations_total{id=\"b\"} 42\n"
+            "# TYPE specure_campaign_covered_pdlc gauge\n"
+            "specure_campaign_covered_pdlc{id=\"a\"} 17\n"
+            "specure_campaign_covered_pdlc{id=\"b\"} 17\n"
+            "# TYPE specure_queue_wait_seconds histogram\n"
+            "specure_queue_wait_seconds_bucket{id=\"a\",le=\"1.023e-06\"} 1\n"
+            "specure_queue_wait_seconds_bucket{id=\"a\",le=\"+Inf\"} 1\n"
+            "specure_queue_wait_seconds_sum{id=\"a\"} 1e-06\n"
+            "specure_queue_wait_seconds_count{id=\"a\"} 1\n"
+            "specure_queue_wait_seconds_bucket{id=\"b\",le=\"1.023e-06\"} 1\n"
+            "specure_queue_wait_seconds_bucket{id=\"b\",le=\"+Inf\"} 1\n"
+            "specure_queue_wait_seconds_sum{id=\"b\"} 1e-06\n"
+            "specure_queue_wait_seconds_count{id=\"b\"} 1\n"
+            "# TYPE specure_tenant_iters_per_sec gauge\n"
+            "specure_tenant_iters_per_sec{id=\"a\"} 12.5\n"
+            "specure_tenant_iters_per_sec{id=\"b\"} 0.25\n");
 }
 
 // ---------------------------------------------------- result neutrality ----
@@ -343,12 +370,15 @@ TEST(ObsNeutrality, MetricsSnapshotMatchesCampaign) {
 }
 
 TEST(ObsNeutrality, RunLengthCountersMatchHistory) {
+  // The ceiling-only run (no quiescence rule) reaches the cycle cap
+  // within this budget.
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("jobs=" + std::to_string(jobs));
     core::CampaignSpec spec;
     spec.rng_seed = 7;
     spec.jobs = jobs;
     spec.budget.iterations = 120;
+    spec.core.quiet_cycles = 0;
     core::Session session(spec);
     const core::CampaignResult result = session.run();
 
@@ -362,6 +392,27 @@ TEST(ObsNeutrality, RunLengthCountersMatchHistory) {
     const obs::HistogramSnapshot* cycles = snap.histogram("hist/run_cycles");
     ASSERT_NE(cycles, nullptr);
     EXPECT_EQ(cycles->count, result.history.size());
+    EXPECT_EQ(snap.counter_value("sim/quiescent_runs"), 0u);
+  }
+}
+
+TEST(ObsNeutrality, QuiescentRunsAndWindowsAreCounted) {
+  std::uint64_t quiescent_at_jobs1 = 0;
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    core::CampaignSpec spec;
+    spec.rng_seed = 7;
+    spec.jobs = jobs;
+    spec.budget.iterations = 120;
+    core::Session session(spec);
+    const core::CampaignResult result = session.run();
+
+    const obs::Snapshot snap = session.metrics_snapshot();
+    const std::uint64_t quiescent = snap.counter_value("sim/quiescent_runs");
+    EXPECT_GT(quiescent, 0u);
+    if (jobs == 1) quiescent_at_jobs1 = quiescent;
+    EXPECT_EQ(quiescent, quiescent_at_jobs1);
+    EXPECT_EQ(snap.counter_value("mst/windows"), result.total_windows);
   }
 }
 

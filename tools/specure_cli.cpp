@@ -265,22 +265,28 @@ int report_and_exit_code(const core::CampaignResult& result,
                   w, static_cast<unsigned long long>(ws.jobs),
                   ws.execute_seconds, ws.queue_wait_seconds);
     }
-    // Run length from the workers' registry lanes: runs that hit the
-    // cycle budget, and the mean of the cycles-per-run histogram (exact,
-    // unlike its log2 percentiles, whose top bucket straddles the cap).
+    // Run length from the workers' registry lanes: how runs ended
+    // (quiescent, or at the max_cycles ceiling), the mean of the
+    // cycles-per-run histogram (exact, unlike its log2 percentiles, whose
+    // top bucket straddles the ceiling) and windows extracted per run.
     // The histogram is registered unless the spec set metrics=false.
     const obs::Snapshot snap = session.metrics_snapshot();
     if (const obs::HistogramSnapshot* cycles =
             snap.histogram("hist/run_cycles");
         cycles != nullptr && cycles->count > 0) {
-      std::printf("  sim: %llu of %llu runs capped at max_cycles=%llu"
-                  "  cycles/run mean %.0f\n",
+      const auto runs = static_cast<double>(cycles->count);
+      std::printf("  sim: %llu runs: %llu quiescent, %llu capped at "
+                  "max_cycles=%llu  cycles/run mean %.0f  windows/run "
+                  "mean %.1f\n",
+                  static_cast<unsigned long long>(cycles->count),
+                  static_cast<unsigned long long>(
+                      snap.counter_value("sim/quiescent_runs")),
                   static_cast<unsigned long long>(
                       snap.counter_value("sim/capped_runs")),
-                  static_cast<unsigned long long>(cycles->count),
                   static_cast<unsigned long long>(spec.core.max_cycles),
-                  static_cast<double>(cycles->sum) /
-                      static_cast<double>(cycles->count));
+                  static_cast<double>(cycles->sum) / runs,
+                  static_cast<double>(snap.counter_value("mst/windows")) /
+                      runs);
     }
     // Latency percentiles (log2 histogram estimates).
     const auto percentile_row = [&snap](const char* label,
