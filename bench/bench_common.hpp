@@ -7,6 +7,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -157,6 +158,16 @@ inline SpecRunStats run_spec_with_stats(
   out.pipeline = session.pipeline_stats();
   out.metrics = session.metrics_snapshot();
   return out;
+}
+
+/// Median of `v` (the mean of the middle two for an even count); 0 when
+/// empty. Benches that repeat a measurement over interleaved rounds
+/// report this, so one slow host phase moves no gate.
+inline double median(std::vector<double> v) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2;
 }
 
 /// Export a metrics-registry snapshot into the bench's JSON under

@@ -1,8 +1,9 @@
 // Trace-layer micro-bench: dense reference recorder vs the delta-native
 // trace on the default MiniBOOM preset. Reports per-run trace memory
 // (dense vs delta, the ≥5× headline), recording+analysis throughput on
-// both paths, and random-access materialization cost — the numbers quoted
-// in docs/ARCHITECTURE.md.
+// both paths, and random-access materialization cost (a cold path: events
+// undone from the live array or replayed from reset, whichever side of
+// the tick is shorter) — the numbers quoted in docs/ARCHITECTURE.md.
 #include <chrono>
 #include <cstdio>
 
@@ -108,7 +109,8 @@ int main(int argc, char** argv) {
       sink += run.trace.at_cycle(1 + (i * 37) % last).values[0];
     }
     const double s = std::chrono::duration<double>(clock::now() - t0).count();
-    std::printf("  %-26s %10.2f us/lookup  (keyframed, %zu-cycle trace)\n",
+    std::printf("  %-26s %10.2f us/lookup  (from the nearer end, %zu-cycle "
+                "trace)\n",
                 "at_cycle materialize:", 1e6 * s / kLookups,
                 run.trace.size());
     json.metric("at_cycle_us_per_lookup", 1e6 * s / kLookups);

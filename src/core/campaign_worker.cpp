@@ -16,14 +16,15 @@ CampaignWorker::CampaignWorker(const sim::CoreConfig& core,
 void CampaignWorker::set_observability(const WorkerObservability& hooks) {
   tracer_ = hooks.tracer;
   lane_ = hooks.lane;
-  execute_ns_ = jobs_ = quiescent_runs_ = capped_runs_ = windows_ =
-      obs::Counter();
+  execute_ns_ = jobs_ = quiescent_runs_ = capped_runs_ = dirty_ids_ =
+      windows_ = obs::Counter();
   execute_hist_ = run_cycles_ = obs::Histogram();
   if (hooks.registry != nullptr) {
     execute_ns_ = hooks.registry->counter("worker/execute_ns");
     jobs_ = hooks.registry->counter("worker/jobs");
     quiescent_runs_ = hooks.registry->counter("sim/quiescent_runs");
     capped_runs_ = hooks.registry->counter("sim/capped_runs");
+    dirty_ids_ = hooks.registry->counter("sim/dirty_ids");
     windows_ = hooks.registry->counter("mst/windows");
     if (hooks.histograms) {
       execute_hist_ = hooks.registry->histogram("hist/execute_ns");
@@ -49,11 +50,12 @@ void CampaignWorker::process(const fuzz::FuzzJob& job,
   out.coverage = scratch_.coverage;
   out.cycles = scratch_.cycles;
   // Simulation cost per iteration follows run length: how runs end
-  // (quiescent, or at the max_cycles ceiling) and how many windows each
-  // one yields explain it.
+  // (quiescent, or at the max_cycles ceiling), how many signal ids the
+  // capture walked and how many windows each one yields explain it.
   run_cycles_.record(lane_, out.cycles);
   if (scratch_.quiescent) quiescent_runs_.add(lane_);
   if (out.cycles >= sim_.config().max_cycles) capped_runs_.add(lane_);
+  dirty_ids_.add(lane_, scratch_.dirty_ids);
   windows_.add(lane_, out.windows.size());
 
   const auto e1 = std::chrono::steady_clock::now();

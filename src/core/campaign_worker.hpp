@@ -33,8 +33,9 @@ namespace specure::core {
 
 /// Observability wiring the session hands each worker before a run():
 /// registry instruments on the worker's lane (time inside process(), jobs
-/// processed, runs that went quiescent, runs that hit max_cycles, windows
-/// extracted and — with `histograms` — execute time and cycles per run)
+/// processed, runs that went quiescent, runs that hit max_cycles, signal
+/// ids the capture walked, windows extracted and — with `histograms` —
+/// execute time and cycles per run)
 /// and, when tracing, the span recorder the worker emits execute spans
 /// into. All-default (null) wiring makes every instrumentation site a
 /// no-op; nothing here ever affects simulation results.
@@ -103,6 +104,7 @@ class CampaignWorker {
   obs::Counter jobs_;
   obs::Counter quiescent_runs_;
   obs::Counter capped_runs_;
+  obs::Counter dirty_ids_;
   obs::Counter windows_;
   obs::Histogram execute_hist_;
   obs::Histogram run_cycles_;

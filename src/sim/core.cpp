@@ -15,6 +15,7 @@ void RunResult::reset() {
   instructions_committed = 0;
   halted_clean = false;
   quiescent = false;
+  dirty_ids = 0;
   final_data.clear();
 }
 

@@ -63,6 +63,11 @@ struct RunResult {
   /// Ended before max_cycles by the quiescence rule
   /// (CoreConfig::quiet_cycles); halted_clean is false then.
   bool quiescent = false;
+  /// Signal ids the capture walked after the first tick (the dirty sets
+  /// handed to Trace::record_dirty), summed over the run; every trace
+  /// event after the first tick comes from one of them. 0 on the dense
+  /// reference path, which sweeps every signal instead.
+  std::uint64_t dirty_ids = 0;
   /// Final data-memory image (committed stores applied), for
   /// architectural end-state comparison.
   std::vector<std::uint8_t> final_data;

@@ -149,18 +149,13 @@ class Core {
       on_cache_line_event(line, ev);
     });
     // Dirty-set capture engine: components mark the signal ids they write;
-    // capture() re-records only those (plus the always-dirty base set).
+    // capture() re-records only those, plus the core's own registers
+    // whose value changed (mark_own_changes).
     dirty_.init(descs_.size());
-    // Base set — signals derived or (re)written unconditionally every
-    // cycle: the fetch PC, the 12-signal ROB/pulse block (cursors, the
-    // oldest-unsafe window view, the brupdate and commit pulses) and the
-    // exec/LSU wire block (incl. the tainted_access pulse). begin_cycle()
-    // clears the pulses and the window view follows the ROB scan, so no
-    // single component can own their marks.
-    dirty_.base_mark(layout_.fetch_pc);
-    for (std::size_t k = 0; k < 12; ++k) dirty_.base_mark(layout_.rob_head + k);
+    own_ids_[0] = layout_.fetch_pc;
+    for (std::size_t k = 0; k < 12; ++k) own_ids_[1 + k] = layout_.rob_head + k;
     for (std::size_t k = 0; k < 4; ++k) {
-      dirty_.base_mark(layout_.exec_result + k);
+      own_ids_[13 + k] = layout_.exec_result + k;
     }
     rename_.bind_dirty(&dirty_, layout_.maptable, layout_.freecount,
                        layout_.prf, layout_.rfx);
@@ -720,21 +715,22 @@ class Core {
   // ----------------------------------------------------------- snapshot --
   /// Per-cycle trace capture. Delta-native recording: each recorded signal is compared
   /// against the trace's live previous-value array and stored only as a
-  /// (cycle, signal, value) change event; toggle coverage falls out of
-  /// the same comparison.
+  /// (cycle, signal, previous value, value) change event; toggle coverage
+  /// falls out of the same comparison.
   ///
   /// The hot (non-dense) path walks only the dirty set — the signal ids
-  /// components marked as written this cycle plus the always-dirty base
-  /// set — instead of sweeping all ~300 schema signals. A conservative
-  /// superset dirty set is exact: re-recording an unchanged value appends
-  /// no event, so the stream is byte-identical to a full sweep as long as
-  /// every signal that DID change is marked (the component author's
-  /// obligation, see ARCHITECTURE.md). The first captured tick seeds the
-  /// live array with a full sweep.
+  /// components marked as written this cycle plus the core's own
+  /// registers that changed — instead of sweeping all ~300 schema
+  /// signals. A conservative superset dirty set is exact: re-recording an
+  /// unchanged value appends no event, so the stream is byte-identical to
+  /// a full sweep as long as every signal that DID change is marked (the
+  /// component author's obligation, see ARCHITECTURE.md). The first
+  /// captured tick seeds the live array with a full sweep.
   void capture(RunResult& res) {
     const bool first = res.trace.empty();
     res.trace.begin_cycle(cycle_);
     const RobEntry* spec = unsafe_count_ != 0 ? oldest_unsafe() : nullptr;
+    mark_own_changes(spec);
     if (res.dense_trace) {
       // Dense-reference path (differential suite only): the oracle needs
       // every signal's value, so the full sweep — and the per-cycle
@@ -756,12 +752,46 @@ class Core {
                          value_of(descs_[i], spec));
       }
     } else {
+      res.dirty_ids += dirty_.count();
       const std::uint64_t toggles = res.trace.record_dirty(
           dirty_.words(),
           [this, spec](std::size_t id) { return value_of(descs_[id], spec); });
       res.coverage.toggles(toggles);
     }
-    dirty_.reset_to_base();
+    dirty_.clear();
+  }
+
+  /// Mark each of the core's own registers whose value differs from the
+  /// one last captured. No single write site owns them: begin_cycle()
+  /// clears the pulses every cycle and the oldest-unsafe view follows the
+  /// ROB walk, so one compare here replaces marks at every write and
+  /// cannot miss one. The values are value_of()'s for the same kinds, in
+  /// own_ids_ order.
+  void mark_own_changes(const RobEntry* spec) {
+    const std::uint64_t now[kOwnSignals] = {
+        fetch_pc_,
+        rob_head_,
+        rob_tail_,
+        rob_count_,
+        spec != nullptr,
+        spec ? spec->pc : 0,
+        spec ? spec->dec.raw : 0,
+        brupdate_valid_,
+        brupdate_mispredict_,
+        commit_valid_,
+        commit_pc_,
+        commit_inst_,
+        commit_rd_,
+        exec_result_,
+        lsu_addr_,
+        lsu_load_data_,
+        tainted_access_};
+    for (std::size_t k = 0; k < kOwnSignals; ++k) {
+      if (now[k] != captured_[k]) {
+        captured_[k] = now[k];
+        dirty_.mark(own_ids_[k]);
+      }
+    }
   }
 
   std::uint64_t value_of(const SigDesc& d, const RobEntry* spec) const {
@@ -859,6 +889,12 @@ class Core {
   /// The capture engine's change list: components mark into it as they
   /// write (bound in the constructor), capture() drains it every cycle.
   DirtySet dirty_;
+  /// The core's own registers: the fetch PC, the 12-signal
+  /// ROB/commit/brupdate block and the 4 exec/LSU wires — their flat ids
+  /// and the values capture() last saw (mark_own_changes).
+  static constexpr std::size_t kOwnSignals = 17;
+  std::size_t own_ids_[kOwnSignals] = {};
+  std::uint64_t captured_[kOwnSignals] = {};
 
   // Pulse / bus state for snapshots.
   bool brupdate_valid_ = false;

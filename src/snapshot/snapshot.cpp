@@ -1,6 +1,7 @@
 #include "snapshot/snapshot.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -45,12 +46,6 @@ void Trace::begin_cycle(std::uint64_t cycle) {
     if (cycle != cycles_.back() + 1) contiguous_ = false;
   }
   if (live_.empty()) live_.assign(db_->size(), 0);
-  // The previous tick is now complete; keyframe it on the interval grid so
-  // keyframes_[k] always holds the state after tick k * kKeyframeInterval.
-  const std::size_t done = cycles_.size();
-  if (done >= 1 && (done - 1) % kKeyframeInterval == 0) {
-    keyframes_.insert(keyframes_.end(), live_.begin(), live_.end());
-  }
   cycles_.push_back(cycle);
   offsets_.push_back(event_ids_.size());
 }
@@ -59,11 +54,7 @@ unsigned Trace::record(SignalId id, std::uint64_t value) {
   if (cycles_.empty()) {
     throw std::runtime_error("trace: record() before begin_cycle()");
   }
-  if (id >= live_.size()) {
-    throw std::runtime_error("trace: signal id " + std::to_string(id) +
-                             " outside the schema (" +
-                             std::to_string(live_.size()) + " signals)");
-  }
+  if (id >= live_.size()) throw_outside_schema(id);
   const std::size_t tick_start = offsets_.back();
   if (event_ids_.size() > tick_start && id <= event_ids_.back()) {
     throw std::runtime_error(
@@ -72,9 +63,23 @@ unsigned Trace::record(SignalId id, std::uint64_t value) {
   const std::uint64_t prev = live_[id];
   if (value == prev) return 0;
   event_ids_.push_back(id);
+  event_prev_.push_back(prev);
   event_values_.push_back(value);
   live_[id] = value;
   return util::toggled_bits(prev, value);
+}
+
+void Trace::throw_record_dirty_misuse() const {
+  throw std::runtime_error(
+      cycles_.empty()
+          ? "trace: record_dirty() before begin_cycle()"
+          : "trace: record_dirty() after record() in the same tick");
+}
+
+void Trace::throw_outside_schema(std::size_t id) const {
+  throw std::runtime_error("trace: signal id " + std::to_string(id) +
+                           " outside the schema (" +
+                           std::to_string(db_->size()) + " signals)");
 }
 
 void Trace::push(const Snapshot& snap) {
@@ -92,20 +97,20 @@ void Trace::reset() {
   cycles_.clear();
   offsets_.clear();
   event_ids_.clear();
+  event_prev_.clear();
   event_values_.clear();
   live_.clear();
-  keyframes_.clear();
   contiguous_ = true;
 }
 
 std::size_t Trace::memory_bytes() const {
   std::size_t bytes = 0;
   bytes += event_ids_.size() * sizeof(SignalId);
+  bytes += event_prev_.size() * sizeof(std::uint64_t);
   bytes += event_values_.size() * sizeof(std::uint64_t);
   bytes += cycles_.size() * sizeof(std::uint64_t);
   bytes += offsets_.size() * sizeof(std::size_t);
   bytes += live_.size() * sizeof(std::uint64_t);
-  bytes += keyframes_.size() * sizeof(std::uint64_t);
   return bytes;
 }
 
@@ -139,33 +144,42 @@ std::size_t Trace::index_of(std::uint64_t cycle) const {
   return idx;
 }
 
-std::size_t Trace::seed_from_keyframe(std::size_t index,
-                                      std::vector<std::uint64_t>& out) const {
-  const std::size_t n = db_->size();
-  std::size_t k = index / kKeyframeInterval;
-  const std::size_t frames = keyframe_count();
-  if (k >= frames && frames > 0) k = frames - 1;
-  if (k < frames) {
-    out.assign(keyframes_.begin() + static_cast<std::ptrdiff_t>(k * n),
-               keyframes_.begin() + static_cast<std::ptrdiff_t>((k + 1) * n));
-    return k * kKeyframeInterval + 1;
-  }
-  out.assign(n, 0);
-  return 0;
-}
+// Random access works from whichever end of the event stream is nearer:
+// the live array is the state after the last tick, so undoing the events
+// after `index` (each restores its previous value) reaches the same state
+// as replaying the events up to it from the all-zero reset.
 
 void Trace::materialize(std::size_t index,
                         std::vector<std::uint64_t>& out) const {
-  if (index + 1 == cycles_.size()) {  // the common "last tick" fast path
+  const std::size_t split = tick_end(index);
+  if (event_ids_.size() - split <= split) {
     out = live_;
-    return;
-  }
-  std::size_t tick = seed_from_keyframe(index, out);
-  for (; tick <= index; ++tick) {
-    for (std::size_t e = tick_begin(tick); e < tick_end(tick); ++e) {
+    for (std::size_t e = event_ids_.size(); e-- > split;) {
+      out[event_ids_[e]] = event_prev_[e];
+    }
+  } else {
+    out.assign(db_->size(), 0);
+    for (std::size_t e = 0; e < split; ++e) {
       out[event_ids_[e]] = event_values_[e];
     }
   }
+}
+
+std::uint64_t Trace::value_after(std::size_t index, SignalId id) const {
+  // The signal's nearest event on the shorter side decides: the first one
+  // after the tick held the value before it, the last one up to the tick
+  // set it.
+  const std::size_t split = tick_end(index);
+  if (event_ids_.size() - split <= split) {
+    for (std::size_t e = split; e < event_ids_.size(); ++e) {
+      if (event_ids_[e] == id) return event_prev_[e];
+    }
+    return live_[id];
+  }
+  for (std::size_t e = split; e-- > 0;) {
+    if (event_ids_[e] == id) return event_values_[e];
+  }
+  return 0;
 }
 
 Snapshot Trace::at_cycle(std::uint64_t cycle) const {
@@ -184,23 +198,8 @@ Snapshot Trace::operator[](std::size_t index) const {
 }
 
 std::uint64_t Trace::value_at(std::uint64_t cycle, SignalId id) const {
-  const std::size_t index = index_of(cycle);
-  if (index + 1 == cycles_.size()) return live_[id];
-  std::size_t k = index / kKeyframeInterval;
-  const std::size_t frames = keyframe_count();
-  if (k >= frames && frames > 0) k = frames - 1;
-  std::uint64_t v = 0;
-  std::size_t tick = 0;
-  if (k < frames) {
-    v = keyframes_[k * db_->size() + id];
-    tick = k * kKeyframeInterval + 1;
-  }
-  for (; tick <= index; ++tick) {
-    for (std::size_t e = tick_begin(tick); e < tick_end(tick); ++e) {
-      if (event_ids_[e] == id) v = event_values_[e];
-    }
-  }
-  return v;
+  if (id >= db_->size()) throw_outside_schema(id);
+  return value_after(index_of(cycle), id);
 }
 
 std::vector<SignalDelta> Trace::diff(std::uint64_t from,
@@ -208,26 +207,49 @@ std::vector<SignalDelta> Trace::diff(std::uint64_t from,
   const std::size_t a = index_of(from);
   const std::size_t b = index_of(to);
   if (b < a) throw std::runtime_error("trace diff: to-cycle before from-cycle");
-  std::vector<std::uint64_t> before;
-  materialize(a, before);
+  const std::size_t first = tick_end(a);
+  const std::size_t last = tick_end(b);
 
-  // Signals touched by any event in ticks (a, b] are the only diff
-  // candidates; a signal that changed and changed back is filtered by the
-  // value comparison below.
-  std::vector<SignalId> touched;
-  for (std::size_t tick = a + 1; tick <= b; ++tick) {
-    touched.insert(touched.end(), event_ids_.begin() + tick_begin(tick),
-                   event_ids_.begin() + tick_end(tick));
+  // The ids with an event in ticks (a, b], as a word bitset; each id's
+  // rank among them is its slot in `out`, so the result comes out
+  // ascending without a sort. One buffer holds the bitset and, after it,
+  // each word's first rank.
+  const std::size_t n_words = (db_->size() + 63) / 64;
+  std::vector<std::uint64_t> scratch(2 * n_words, 0);
+  std::uint64_t* const touched = scratch.data();
+  std::uint64_t* const rank_base = scratch.data() + n_words;
+  for (std::size_t e = first; e < last; ++e) {
+    const SignalId id = event_ids_[e];
+    touched[id >> 6] |= std::uint64_t{1} << (id & 63);
   }
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  std::size_t count = 0;
+  for (std::size_t w = 0; w < n_words; ++w) {
+    rank_base[w] = count;
+    count += static_cast<std::size_t>(std::popcount(touched[w]));
+  }
+  const auto rank = [&](SignalId id) {
+    const std::uint64_t below = (std::uint64_t{1} << (id & 63)) - 1;
+    return rank_base[id >> 6] + static_cast<std::size_t>(std::popcount(
+                                    touched[id >> 6] & below));
+  };
 
-  std::vector<std::uint64_t> after;
-  materialize(b, after);
-  std::vector<SignalDelta> out;
-  for (const SignalId id : touched) {
-    if (before[id] != after[id]) out.push_back({id, before[id], after[id]});
+  std::vector<SignalDelta> out(count);
+  for (std::size_t w = 0, slot = 0; w < n_words; ++w) {
+    for (std::uint64_t bits = touched[w]; bits != 0; bits &= bits - 1) {
+      out[slot++].id = static_cast<SignalId>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
   }
+  // Before: the first in-window event's previous value (a backward walk
+  // leaves it last); after: the last in-window event's value.
+  for (std::size_t e = last; e-- > first;) {
+    out[rank(event_ids_[e])].before = event_prev_[e];
+  }
+  for (std::size_t e = first; e < last; ++e) {
+    out[rank(event_ids_[e])].after = event_values_[e];
+  }
+  // A signal that changed and changed back is no difference.
+  std::erase_if(out, [](const SignalDelta& d) { return d.before == d.after; });
   return out;
 }
 
@@ -276,16 +298,24 @@ std::vector<bool> Trace::changed_mask(std::uint64_t from,
 bool Trace::any_nonzero(SignalId id, std::uint64_t from,
                         std::uint64_t to) const {
   const std::size_t a = index_of(from);
-  std::uint64_t v = value_at(from, id);
-  auto hi = std::upper_bound(cycles_.begin(), cycles_.end(), to);
+  const auto hi = std::upper_bound(cycles_.begin(), cycles_.end(), to);
   const std::size_t end = static_cast<std::size_t>(hi - cycles_.begin());
-  for (std::size_t tick = a + 1; tick < end; ++tick) {
-    for (std::size_t e = tick_begin(tick); e < tick_end(tick); ++e) {
-      if (event_ids_[e] == id) v = event_values_[e];
-    }
-    if (v != 0) return true;
+  if (end <= a + 1) return false;  // no recorded tick in (from, to]
+  // Ticks a+1 .. end-1. Each of the signal's events there holds its value
+  // from its own tick on; the first one's previous value also held from
+  // tick a+1 up to it, which is inside the window unless the event is in
+  // tick a+1 itself.
+  const std::size_t first = tick_end(a);
+  const std::size_t last = tick_end(end - 1);
+  const std::size_t second_tick = tick_end(a + 1);
+  bool seen = false;
+  for (std::size_t e = first; e < last; ++e) {
+    if (event_ids_[e] != id) continue;
+    if (!seen && e >= second_tick && event_prev_[e] != 0) return true;
+    if (event_values_[e] != 0) return true;
+    seen = true;
   }
-  return false;
+  return !seen && value_after(a, id) != 0;
 }
 
 // ------------------------------------------------------------- DenseTrace --

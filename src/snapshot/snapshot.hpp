@@ -5,12 +5,15 @@
 //
 // The paper's Online Phase is built on diffing per-cycle snapshots, but
 // only a handful of signals change per cycle — so Trace records
-// (cycle, signal, new_value) change events instead of materializing one
-// full value vector per cycle. Memory is O(changes + keyframes) instead of
-// O(cycles × signals), and every window query (diff, change_counts,
-// changed_mask) walks only the events inside the window. Periodic
-// keyframes (one full value vector every kKeyframeInterval ticks) keep
-// random-access materialization O(1) amortized.
+// (cycle, signal, previous value, new value) change events instead of
+// materializing one full value vector per cycle. Memory is O(changes)
+// instead of O(cycles × signals), and every window query (diff,
+// change_counts, changed_mask, any_nonzero) walks only the events inside
+// the window: an event's previous value is the signal's value before the
+// window whenever it is the signal's first event in it. Random access
+// (at_cycle, value_at) is the cold path: it undoes the later events from
+// the live array or replays the earlier ones from reset, whichever side
+// holds fewer events.
 //
 // DenseTrace is the retained dense reference recorder: one full Snapshot
 // per cycle, the pre-delta representation. The simulator can record both
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "snapshot/signal_db.hpp"
+#include "util/bits.hpp"
 
 namespace specure::snapshot {
 
@@ -50,11 +54,13 @@ std::vector<SignalDelta> diff(const Snapshot& a, const Snapshot& b);
 std::uint64_t toggle_count(const Snapshot& a, const Snapshot& b);
 
 /// A delta-native run trace: an ordered stream of per-tick change events
-/// against an implicit all-zero pre-reset state, plus periodic keyframes.
+/// against an implicit all-zero pre-reset state. Each event keeps the
+/// value it replaced, so a window query needs only the window's events.
 ///
 /// Recording (the simulator hot loop):
 ///   trace.begin_cycle(cycle);
 ///   for each signal id, ascending:  toggles += trace.record(id, value);
+///   or, over a dirty set:           toggles += trace.record_dirty(words, fn);
 ///
 /// record() compares against the live previous-value array and appends an
 /// event only when the value actually changed, returning the number of
@@ -63,10 +69,6 @@ std::uint64_t toggle_count(const Snapshot& a, const Snapshot& b);
 /// increasing across ticks — both are enforced.
 class Trace {
  public:
-  /// One full value vector is kept every this many ticks, bounding the
-  /// event replay a random-access materialization has to do.
-  static constexpr std::size_t kKeyframeInterval = 64;
-
   explicit Trace(const SignalDb* db) : db_(db) {}
 
   // ---- recording --------------------------------------------------------
@@ -80,17 +82,25 @@ class Trace {
   unsigned record(SignalId id, std::uint64_t value);
 
   /// Bulk dirty-set recorder — the simulator's per-cycle capture loop.
-  /// Walks the set bits of `dirty_words`
-  /// (one bit per signal id, ascending — which satisfies record()'s
-  /// ordering contract), evaluates each via `value_fn(id)`, and records
-  /// it for the open tick. Signals whose bit is clear are untouched: the
+  /// Walks the set bits of `dirty_words` (one bit per signal id,
+  /// ascending), evaluates each via `value_fn(id)`, and records it for
+  /// the open tick, inline. Signals whose bit is clear are untouched: the
   /// live array keeps their previous value, which is exactly what a full
   /// sweep would have re-recorded (unchanged values append no event), so
   /// a conservative superset dirty set yields a byte-identical event
   /// stream. Returns the summed toggled-bit count.
+  ///
+  /// record()'s preconditions are checked once per call, not per id: the
+  /// tick must be open and still empty (then the bit walk alone keeps ids
+  /// ascending), and every walked id must be inside the schema. Each
+  /// violation throws std::runtime_error naming it.
   template <typename ValueFn>
   std::uint64_t record_dirty(const std::vector<std::uint64_t>& dirty_words,
                              ValueFn&& value_fn) {
+    if (cycles_.empty() || event_ids_.size() != offsets_.back()) {
+      throw_record_dirty_misuse();
+    }
+    const std::size_t signals = live_.size();
     std::uint64_t toggles = 0;
     for (std::size_t w = 0; w < dirty_words.size(); ++w) {
       std::uint64_t bits = dirty_words[w];
@@ -98,7 +108,15 @@ class Trace {
         const std::size_t id =
             w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
         bits &= bits - 1;
-        toggles += record(static_cast<SignalId>(id), value_fn(id));
+        if (id >= signals) throw_outside_schema(id);
+        const std::uint64_t value = value_fn(id);
+        const std::uint64_t prev = live_[id];
+        if (value == prev) continue;
+        event_ids_.push_back(static_cast<SignalId>(id));
+        event_prev_.push_back(prev);
+        event_values_.push_back(value);
+        live_[id] = value;
+        toggles += util::toggled_bits(prev, value);
       }
     }
     return toggles;
@@ -120,15 +138,16 @@ class Trace {
   const SignalDb& db() const { return *db_; }
   std::size_t event_count() const { return event_ids_.size(); }
 
-  /// Approximate heap footprint of the recorded trace (events, tick index,
-  /// keyframes, live array) — the number the trace bench reports against
-  /// the dense O(cycles × signals) representation.
+  /// Approximate heap footprint of the recorded trace (events with their
+  /// previous values, tick index, live array) — the number the trace bench
+  /// reports against the dense O(cycles × signals) representation.
   std::size_t memory_bytes() const;
 
   // ---- materialization --------------------------------------------------
   /// Full snapshot at a recorded cycle. O(1) for contiguous cycle stamps
-  /// (O(log n) otherwise) to locate the tick, then O(signals + events
-  /// since the nearest keyframe) to materialize. Throws std::runtime_error
+  /// (O(log n) otherwise) to locate the tick, then O(signals + the fewer
+  /// of the events before and after it) to materialize. A cold path:
+  /// no campaign stage reads a trace at random. Throws std::runtime_error
   /// naming the cycle and the covered range when the cycle was never
   /// recorded.
   Snapshot at_cycle(std::uint64_t cycle) const;
@@ -138,13 +157,16 @@ class Trace {
   Snapshot operator[](std::size_t index) const;
 
   /// One signal's value at a recorded cycle, without materializing the
-  /// rest of the snapshot.
+  /// rest of the snapshot: the nearest of the signal's events on the
+  /// shorter side of the tick decides it.
   std::uint64_t value_at(std::uint64_t cycle, SignalId id) const;
 
   // ---- window queries (the Online Phase detectors) -----------------------
   /// Signals whose value differs between the snapshots at cycles `from`
   /// and `to`, ascending by id — identical to diff(at_cycle(from),
-  /// at_cycle(to)) but computed from the events between the two ticks.
+  /// at_cycle(to)) but computed from the events in (from, to] alone: an
+  /// id's before is its first such event's previous value, its after its
+  /// last event's value. Cost: O(signals / 64 + events inside the window).
   std::vector<SignalDelta> diff(std::uint64_t from, std::uint64_t to) const;
 
   /// Per-signal count of value *changes* (not bit toggles) at recorded
@@ -167,6 +189,8 @@ class Trace {
 
   /// True iff `id`'s value is non-zero at any recorded cycle c with
   /// from < c <= to (pulse detection, e.g. core.lsu.tainted_access).
+  /// Reads the window's events; only a signal with no event in it needs
+  /// one value_at.
   bool any_nonzero(SignalId id, std::uint64_t from, std::uint64_t to) const;
 
   /// Walk every recorded tick in order, tracking the values of `ids`.
@@ -196,8 +220,12 @@ class Trace {
   }
   SignalId event_id(std::size_t e) const { return event_ids_[e]; }
   std::uint64_t event_value(std::size_t e) const { return event_values_[e]; }
+  /// The value event `e` replaced (0 for a signal's first event).
+  std::uint64_t event_prev(std::size_t e) const { return event_prev_[e]; }
 
  private:
+  [[noreturn]] void throw_record_dirty_misuse() const;
+  [[noreturn]] void throw_outside_schema(std::size_t id) const;
   /// Tick index of a recorded cycle; throws with the covered range when
   /// the cycle was never recorded.
   std::size_t index_of(std::uint64_t cycle) const;
@@ -210,27 +238,18 @@ class Trace {
                                                     std::uint64_t to) const;
   /// Materialize the values after tick `index` into `out`.
   void materialize(std::size_t index, std::vector<std::uint64_t>& out) const;
-  /// Seed `out` with the nearest keyframe at or before `index`; returns
-  /// the first tick whose events still need replaying.
-  std::size_t seed_from_keyframe(std::size_t index,
-                                 std::vector<std::uint64_t>& out) const;
+  /// One signal's value after tick `index`.
+  std::uint64_t value_after(std::size_t index, SignalId id) const;
 
   const SignalDb* db_;
   std::vector<std::uint64_t> cycles_;    ///< per tick: cycle stamp
   std::vector<std::size_t> offsets_;     ///< per tick: first event index
   std::vector<SignalId> event_ids_;      ///< columnar change events
+  std::vector<std::uint64_t> event_prev_;  ///< value each event replaced
   std::vector<std::uint64_t> event_values_;
   /// Values after the last recorded tick — the simulator's previous-value
   /// array that record() detects changes against.
   std::vector<std::uint64_t> live_;
-  /// Flat keyframe store, one frame of db_->size() values per
-  /// kKeyframeInterval ticks: frame k (values after tick
-  /// k * kKeyframeInterval) lives at [k * size, (k + 1) * size). Flat so
-  /// recording allocates one growing buffer, not one vector per frame.
-  std::vector<std::uint64_t> keyframes_;
-  std::size_t keyframe_count() const {
-    return db_->size() == 0 ? 0 : keyframes_.size() / db_->size();
-  }
   bool contiguous_ = true;  ///< cycle stamps are base, base+1, base+2, ...
 };
 

@@ -21,11 +21,14 @@
 #include <vector>
 
 #include "campaign_equal.hpp"
+#include "core/campaign_worker.hpp"
 #include "core/session.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
+#include "riscv/program.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace specure {
 namespace {
@@ -413,6 +416,46 @@ TEST(ObsNeutrality, QuiescentRunsAndWindowsAreCounted) {
     if (jobs == 1) quiescent_at_jobs1 = quiescent;
     EXPECT_EQ(quiescent, quiescent_at_jobs1);
     EXPECT_EQ(snap.counter_value("mst/windows"), result.total_windows);
+  }
+}
+
+TEST(ObsNeutrality, DirtyIdsCounterSumsTheRuns) {
+  // One worker job adds its run's walked-id total: the counter equals the
+  // sum over the same programs simulated on their own.
+  const sim::CoreConfig cfg;
+  const core::OfflineResult offline = core::run_offline_phase(cfg);
+  core::CampaignWorker worker(cfg, offline, core::LpPolicy::kAllSignals,
+                              core::DetectorOptions{});
+  obs::Registry registry(1);
+  worker.set_observability({&registry, nullptr, 0, false});
+  const sim::Simulator sim(cfg);
+  util::Rng rng(5);
+  std::uint64_t expected = 0;
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    fuzz::FuzzJob job;
+    job.iteration = i;
+    job.program = riscv::random_program(rng, 24 + 8 * i);
+    expected += sim.run(job.program).dirty_ids;
+    (void)worker.process(job);
+  }
+  EXPECT_GT(expected, 0u);
+  EXPECT_EQ(registry.snapshot().counter_value("sim/dirty_ids"), expected);
+
+  // A campaign's total is the same whichever executor ran it.
+  std::uint64_t at_jobs1 = 0;
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    core::CampaignSpec spec;
+    spec.rng_seed = 7;
+    spec.jobs = jobs;
+    spec.budget.iterations = 120;
+    core::Session session(spec);
+    (void)session.run();
+    const std::uint64_t walked =
+        session.metrics_snapshot().counter_value("sim/dirty_ids");
+    EXPECT_GT(walked, 0u);
+    if (jobs == 1) at_jobs1 = walked;
+    EXPECT_EQ(walked, at_jobs1);
   }
 }
 

@@ -435,6 +435,21 @@ TEST(Sim, RandomProgramsTerminate) {
   }
 }
 
+TEST(Sim, DirtyIdsCoverEveryEventAfterTheFirstTick) {
+  // Every trace event after the first-tick sweep comes from an id the
+  // capture walked, so the walk count bounds the event count.
+  util::Rng rng(4243);
+  Simulator sim{CoreConfig{}};
+  for (int i = 0; i < 10; ++i) {
+    const RunResult res = sim.run(riscv::random_program(rng, 16 + 16 * i));
+    ASSERT_GT(res.trace.size(), 1u);
+    const std::uint64_t later_events =
+        res.trace.event_count() - res.trace.tick_end(0);
+    EXPECT_GT(later_events, 0u);
+    EXPECT_GE(res.dirty_ids, later_events) << "program " << i;
+  }
+}
+
 TEST(Sim, CoverageAccumulates) {
   util::Rng rng(7);
   Simulator sim{CoreConfig{}};

@@ -108,12 +108,13 @@ TEST(Trace, NonContiguousCyclesFallBackToSearch) {
   EXPECT_THROW(t.at_cycle(12), std::runtime_error);
 }
 
-TEST(Trace, KeyframeCrossingMaterialization) {
+TEST(Trace, LongTraceMaterializesFromEitherEnd) {
   const SignalDb db = make_db();
   Trace t(&db);
-  // Spans several keyframe intervals; signal 1 changes rarely so its
-  // value must carry across keyframes correctly.
-  const std::uint64_t n = 5 * Trace::kKeyframeInterval + 7;
+  // Random access replays from reset before the midpoint and undoes from
+  // the live array after it; signal 1 changes rarely, so its value must
+  // carry across long runs of ticks on both sides.
+  const std::uint64_t n = 327;
   for (std::uint64_t c = 1; c <= n; ++c) {
     t.push(snap(c, {c, c / 100, c % 2}));
   }
@@ -168,6 +169,89 @@ TEST(Trace, WindowDiffMatchesSnapshotDiff) {
   EXPECT_EQ(deltas[1].id, 2u);
   EXPECT_TRUE(t.diff(2, 2).empty());
   EXPECT_THROW(t.diff(1, 9), std::runtime_error);
+}
+
+TEST(Trace, DiffDropsSignalsThatChangeBack) {
+  const SignalDb db = make_db();
+  Trace t(&db);
+  t.push(snap(1, {4, 0, 0}));
+  t.push(snap(2, {5, 1, 0}));
+  t.push(snap(3, {6, 1, 1}));
+  t.push(snap(4, {4, 2, 1}));  // signal 0 back to its window-start value
+  t.push(snap(5, {4, 2, 0}));  // signal 2 back too
+  const auto deltas = t.diff(1, 5);
+  ASSERT_EQ(deltas.size(), 1u);
+  EXPECT_EQ(deltas[0].id, 1u);
+  EXPECT_EQ(deltas[0].before, 0u);
+  EXPECT_EQ(deltas[0].after, 2u);
+  // Inside the window signal 0 did differ: a narrower window reports it.
+  const auto inner = t.diff(1, 3);
+  ASSERT_EQ(inner.size(), 3u);
+  EXPECT_EQ(inner[0].id, 0u);
+  EXPECT_EQ(inner[0].before, 4u);
+  EXPECT_EQ(inner[0].after, 6u);
+}
+
+TEST(Trace, DiffOnNonContiguousCycles) {
+  const SignalDb db = make_db();
+  Trace t(&db);
+  t.push(snap(2, {1, 0, 0}));
+  t.push(snap(3, {2, 0, 0}));
+  t.push(snap(10, {2, 7, 0}));
+  t.push(snap(11, {3, 7, 1}));
+  t.push(snap(40, {3, 8, 0}));
+  const auto deltas = t.diff(3, 40);
+  ASSERT_EQ(deltas.size(), 2u);
+  EXPECT_EQ(deltas[0].id, 0u);
+  EXPECT_EQ(deltas[0].before, 2u);
+  EXPECT_EQ(deltas[0].after, 3u);
+  EXPECT_EQ(deltas[1].id, 1u);
+  EXPECT_EQ(deltas[1].before, 0u);
+  EXPECT_EQ(deltas[1].after, 8u);
+  EXPECT_EQ(t.diff(10, 11).size(), 2u);
+  EXPECT_TRUE(t.diff(40, 40).empty());
+  EXPECT_THROW(t.diff(3, 12), std::runtime_error);  // 12 never recorded
+  EXPECT_THROW(t.diff(11, 10), std::runtime_error);
+}
+
+/// The what() of the std::runtime_error `fn` throws ("" if none).
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Trace, RecordDirtyNamesEachMisuse) {
+  const SignalDb db = make_db();
+  const auto value = [](std::size_t id) { return id + 1; };
+  const std::vector<std::uint64_t> ids_0_2 = {0b101};
+
+  Trace t(&db);
+  EXPECT_NE(error_of([&] { t.record_dirty(ids_0_2, value); })
+                .find("before begin_cycle"),
+            std::string::npos);
+
+  t.begin_cycle(1);
+  t.record(1, 9);
+  EXPECT_NE(error_of([&] { t.record_dirty(ids_0_2, value); })
+                .find("after record() in the same tick"),
+            std::string::npos);
+
+  t.begin_cycle(2);
+  const std::vector<std::uint64_t> id_70 = {0, std::uint64_t{1} << 6};
+  const std::string outside = error_of([&] { t.record_dirty(id_70, value); });
+  EXPECT_NE(outside.find("signal id 70 outside the schema"),
+            std::string::npos)
+      << outside;
+
+  // A well-formed call records ascending ids and counts toggles.
+  t.begin_cycle(3);
+  EXPECT_EQ(t.record_dirty(ids_0_2, value), 1u + 2u);  // 0->1, 0->3
+  EXPECT_EQ(t.at_cycle(3).values, (std::vector<std::uint64_t>{1, 9, 3}));
 }
 
 TEST(Trace, AnyNonzeroPulseDetection) {

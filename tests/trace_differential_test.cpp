@@ -76,6 +76,115 @@ TEST(TraceDifferential, WindowDiffMatchesDenseSnapshotDiff) {
   }
 }
 
+void expect_same_deltas(const std::vector<snapshot::SignalDelta>& got,
+                        const std::vector<snapshot::SignalDelta>& want,
+                        std::size_t a, std::size_t b) {
+  ASSERT_EQ(got.size(), want.size()) << "ticks (" << a << ", " << b << "]";
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].id, want[i].id) << "ticks (" << a << ", " << b << "]";
+    ASSERT_EQ(got[i].before, want[i].before)
+        << "ticks (" << a << ", " << b << "] signal " << want[i].id;
+    ASSERT_EQ(got[i].after, want[i].after)
+        << "ticks (" << a << ", " << b << "] signal " << want[i].id;
+  }
+}
+
+/// Trace::diff between ticks a and b, and the diff of the two snapshots
+/// the trace materializes there, both against the dense oracle.
+void expect_window_diff(const sim::RunResult& run, std::size_t a,
+                        std::size_t b) {
+  const snapshot::DenseTrace& dense = *run.dense_trace;
+  const auto want = snapshot::diff(dense[a], dense[b]);
+  const std::uint64_t from = run.trace.cycle_at(a);
+  const std::uint64_t to = run.trace.cycle_at(b);
+  expect_same_deltas(run.trace.diff(from, to), want, a, b);
+  expect_same_deltas(
+      snapshot::diff(run.trace.at_cycle(from), run.trace.at_cycle(to)), want,
+      a, b);
+}
+
+TEST(TraceDifferential, WindowDiffMatchesDenseOverEveryWindowShape) {
+  // Empty windows, windows that end at the last tick and random long
+  // ranges on every corpus run.
+  util::Rng rng(37);
+  for (const auto& program : corpus()) {
+    const sim::RunResult run = dual_run(program);
+    const std::size_t ticks = run.trace.size();
+    ASSERT_GT(ticks, 1u);
+    for (std::size_t a = 0; a < ticks; ++a) {
+      const std::uint64_t c = run.trace.cycle_at(a);
+      EXPECT_TRUE(run.trace.diff(c, c).empty()) << "tick " << a;
+      expect_window_diff(run, a, ticks - 1);
+    }
+    for (int k = 0; k < 200; ++k) {
+      std::size_t a = rng.below(ticks);
+      std::size_t b = rng.below(ticks);
+      if (b < a) std::swap(a, b);
+      expect_window_diff(run, a, b);
+    }
+  }
+}
+
+/// One short dual-recorded run: the longest corpus program, stopped at a
+/// 400-cycle ceiling. Static simulator for the same reason as dual_run's.
+sim::RunResult short_capped_run() {
+  static const sim::Simulator sim = [] {
+    sim::CoreConfig cfg;
+    cfg.record_dense_trace = true;
+    cfg.max_cycles = 400;
+    return sim::Simulator(cfg);
+  }();
+  sim::RunResult run = sim.run(corpus().back());
+  EXPECT_EQ(run.trace.size(), sim.config().max_cycles);
+  return run;
+}
+
+TEST(TraceDifferential, WindowDiffMatchesDenseForEveryStartAndLength) {
+  const sim::RunResult run = short_capped_run();
+  const std::size_t ticks = run.trace.size();
+  for (std::size_t a = 0; a < ticks; ++a) {
+    for (std::size_t len = 1; len <= 200 && a + len < ticks; ++len) {
+      expect_window_diff(run, a, a + len);
+    }
+  }
+}
+
+TEST(TraceDifferential, ValueAtMatchesDenseAtEveryTick) {
+  const sim::RunResult run = short_capped_run();
+  const snapshot::DenseTrace& dense = *run.dense_trace;
+  for (std::size_t t = 0; t < dense.size(); ++t) {
+    for (snapshot::SignalId id = 0; id < run.trace.db().size(); ++id) {
+      ASSERT_EQ(run.trace.value_at(dense[t].cycle, id), dense[t].values[id])
+          << "tick " << t << " signal " << run.trace.db().info(id).name;
+    }
+  }
+}
+
+TEST(TraceDifferential, AnyNonzeroMatchesDenseForEveryStartAndLength) {
+  // Pulses, a level signal and a register, over every start with lengths
+  // 0..64: the event walk decides from the window's own events and falls
+  // back to value_at only for a signal with none in it.
+  const sim::RunResult run = short_capped_run();
+  const snapshot::DenseTrace& dense = *run.dense_trace;
+  const snapshot::SignalDb& db = run.trace.db();
+  const std::size_t ticks = run.trace.size();
+  for (const char* name :
+       {"core.lsu.tainted_access", "core.rob.brupdate_mispredict",
+        "core.rob.unsafe", "core.rf.x5"}) {
+    const snapshot::SignalId sig = db.id_of(name);
+    for (std::size_t a = 0; a < ticks; ++a) {
+      bool ref = false;
+      for (std::size_t len = 0; len <= 64 && a + len < ticks; ++len) {
+        if (len > 0) ref = ref || dense[a + len].values[sig] != 0;
+        ASSERT_EQ(run.trace.any_nonzero(sig, run.trace.cycle_at(a),
+                                        run.trace.cycle_at(a + len)),
+                  ref)
+            << name << " ticks (" << a << ", " << a + len << "]";
+      }
+    }
+  }
+}
+
 TEST(TraceDifferential, ChangeCountsAndMasksMatchDense) {
   for (const auto& program : corpus()) {
     const sim::RunResult run = dual_run(program);

@@ -268,16 +268,17 @@ int report_and_exit_code(const core::CampaignResult& result,
     // Run length from the workers' registry lanes: how runs ended
     // (quiescent, or at the max_cycles ceiling), the mean of the
     // cycles-per-run histogram (exact, unlike its log2 percentiles, whose
-    // top bucket straddles the ceiling) and windows extracted per run.
-    // The histogram is registered unless the spec set metrics=false.
+    // top bucket straddles the ceiling), signal ids the capture walked
+    // per cycle and windows extracted per run. The histogram is
+    // registered unless the spec set metrics=false.
     const obs::Snapshot snap = session.metrics_snapshot();
     if (const obs::HistogramSnapshot* cycles =
             snap.histogram("hist/run_cycles");
         cycles != nullptr && cycles->count > 0) {
       const auto runs = static_cast<double>(cycles->count);
       std::printf("  sim: %llu runs: %llu quiescent, %llu capped at "
-                  "max_cycles=%llu  cycles/run mean %.0f  windows/run "
-                  "mean %.1f\n",
+                  "max_cycles=%llu  cycles/run mean %.0f  dirty ids/cycle "
+                  "%.1f  windows/run mean %.1f\n",
                   static_cast<unsigned long long>(cycles->count),
                   static_cast<unsigned long long>(
                       snap.counter_value("sim/quiescent_runs")),
@@ -285,6 +286,11 @@ int report_and_exit_code(const core::CampaignResult& result,
                       snap.counter_value("sim/capped_runs")),
                   static_cast<unsigned long long>(spec.core.max_cycles),
                   static_cast<double>(cycles->sum) / runs,
+                  cycles->sum > 0
+                      ? static_cast<double>(
+                            snap.counter_value("sim/dirty_ids")) /
+                            static_cast<double>(cycles->sum)
+                      : 0.0,
                   static_cast<double>(snap.counter_value("mst/windows")) /
                       runs);
     }
