@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "fuzz/corpus.hpp"
 
@@ -36,11 +37,12 @@ class CampaignScheduler {
 
   /// Campaign checkpoint/restore: the fuzzer state is the whole
   /// deterministic scheduler state (issued_ mirrors the fuzzer's
-  /// iteration cursor).
+  /// iteration cursor). restore() takes the state by value and moves the
+  /// corpus in.
   fuzz::FuzzerState save_state() const { return fuzzer_.save_state(); }
-  void restore(const fuzz::FuzzerState& state) {
-    fuzzer_.restore_state(state);
+  void restore(fuzz::FuzzerState state) {
     issued_ = state.iteration;
+    fuzzer_.restore_state(std::move(state));
   }
 
  private:

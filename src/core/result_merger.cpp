@@ -1,6 +1,7 @@
 #include "core/result_merger.hpp"
 
 #include <set>
+#include <utility>
 
 namespace specure::core {
 
@@ -21,11 +22,11 @@ ResultMerger::ResultMerger(const OfflineResult& offline,
   result_.pdlc_total = offline.pdlc.size();
 }
 
-void ResultMerger::restore(const CampaignResult& result,
+void ResultMerger::restore(CampaignResult result,
                            const std::vector<bool>& lp_mask,
                            std::uint64_t coverage_mask,
                            std::uint64_t toggle_bits) {
-  result_ = result;
+  result_ = std::move(result);
   lp_.restore_covered(lp_mask);
   for (std::size_t c = 0; c < lp_mask.size(); ++c) {
     if (lp_mask[c]) covered_shadow_.set(c);

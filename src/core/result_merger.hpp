@@ -106,8 +106,9 @@ class ResultMerger {
   /// the accumulated result, the LP covered mask (covered_mask() at
   /// capture time, republished to the atomic shadow) and the merged
   /// code-coverage point mask. The next merge() continues exactly where
-  /// the captured campaign left off.
-  void restore(const CampaignResult& result, const std::vector<bool>& lp_mask,
+  /// the captured campaign left off. The result is taken by value and
+  /// moved in: a resumed frontier is consumed, never copied.
+  void restore(CampaignResult result, const std::vector<bool>& lp_mask,
                std::uint64_t coverage_mask, std::uint64_t toggle_bits);
 
   /// Move the finished result out; the merger is spent afterwards.

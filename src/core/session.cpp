@@ -290,8 +290,9 @@ Session::MergeStrand::MergeStrand(Session& session, std::size_t window,
       sink_last_fire_(session.frontier_sinks_.size(), 0) {
   if (resume == nullptr) return;
   CampaignFrontier& f = *resume;
-  scheduler_.restore(f.fuzzer);
-  merger_.restore(f.result, f.lp_covered, f.coverage_mask, f.toggle_bits);
+  scheduler_.restore(std::move(f.fuzzer));
+  merger_.restore(std::move(f.result), f.lp_covered, f.coverage_mask,
+                  f.toggle_bits);
   replay_.assign(std::make_move_iterator(f.in_flight.begin()),
                  std::make_move_iterator(f.in_flight.end()));
   merged_ = f.merged;

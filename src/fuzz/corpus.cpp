@@ -1,6 +1,7 @@
 #include "fuzz/corpus.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace specure::fuzz {
 
@@ -104,11 +105,11 @@ FuzzerState Fuzzer::save_state() const {
   return state;
 }
 
-void Fuzzer::restore_state(const FuzzerState& state) {
+void Fuzzer::restore_state(FuzzerState state) {
   rng_.set_state(state.rng_state);
   iteration_ = state.iteration;
-  corpus_.restore(state.corpus);
-  pending_seeds_ = state.pending_seeds;
+  corpus_.restore(std::move(state.corpus));
+  pending_seeds_ = std::move(state.pending_seeds);
 }
 
 void Fuzzer::report_interesting(const riscv::Program& program) {

@@ -120,9 +120,10 @@ class Fuzzer {
   std::uint64_t iteration() const { return iteration_; }
   const Corpus& corpus() const { return corpus_; }
 
-  /// Snapshot / restore the deterministic generation state.
+  /// Snapshot / restore the deterministic generation state (restore
+  /// moves the corpus and the pending seeds in).
   FuzzerState save_state() const;
-  void restore_state(const FuzzerState& state);
+  void restore_state(FuzzerState state);
 
  private:
   riscv::Program generate();

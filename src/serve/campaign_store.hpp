@@ -10,7 +10,8 @@
 //       status        lifecycle: queued|running|paused|done|failed|cancelled
 //       report.txt    final text report (written when the campaign ends)
 //       report.json   final JSON report
-//       metrics.prom  latest metrics snapshot (stamped at state writes)
+//       metrics.prom  metrics snapshot (stamped by the state writer,
+//                     at most once a second and at completion)
 //
 // Campaign ids are dense ("c0001", "c0002", ...) and never reused within
 // a store. The store itself is dumb — pure path bookkeeping and atomic
@@ -59,9 +60,10 @@ class CampaignStore {
   std::string report_json_path(const std::string& id) const {
     return dir(id) + "/report.json";
   }
-  /// Latest Prometheus-text metrics snapshot, stamped by the tenant's
-  /// frontier sink at every durable-state boundary (atomic tmp+rename,
-  /// like status). Absent until the campaign's first state write.
+  /// Prometheus-text metrics snapshot, stamped by the daemon's state
+  /// writer after a state.bin write: at most once a second per tenant,
+  /// and always for the completed frontier (atomic tmp+rename, like
+  /// status). Absent until the campaign's first state write.
   std::string metrics_path(const std::string& id) const {
     return dir(id) + "/metrics.prom";
   }

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "core/report.hpp"
 #include "core/vuln_detect.hpp"
@@ -30,6 +31,17 @@ namespace specure::serve {
 using util::escape_json;
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// The writer stamps a tenant's metrics.prom at most this often (and
+/// always for a completed frontier).
+constexpr Clock::duration kPromStampInterval = std::chrono::seconds(1);
+
+std::uint64_t ns_between(Clock::time_point from, Clock::time_point to) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
+}
 
 /// Event log lines are deterministic on purpose: no wall-clock fields, so
 /// the log a resumed campaign appends to is byte-identical to the
@@ -93,10 +105,7 @@ std::vector<std::string> read_lines(const std::string& path) {
 }  // namespace
 
 Server::Server(ServerOptions options)
-    : options_(std::move(options)),
-      store_(options_.store_root),
-      pool_(options_.workers != 0 ? options_.workers
-                                  : std::thread::hardware_concurrency()) {
+    : options_(std::move(options)), store_(options_.store_root) {
   // A client vanishing mid-stream must surface as a write error on that
   // connection, not kill the daemon.
   std::signal(SIGPIPE, SIG_IGN);
@@ -104,7 +113,10 @@ Server::Server(ServerOptions options)
 
   slices_ = daemon_metrics_.counter("daemon/slices");
   state_writes_ = daemon_metrics_.counter("daemon/state_writes");
+  coalesced_ = daemon_metrics_.counter("daemon/frontiers_coalesced");
   state_write_ns_ = daemon_metrics_.histogram("hist/daemon/state_write_ns");
+  prom_write_ns_ = daemon_metrics_.histogram("hist/daemon/prom_write_ns");
+  handoff_ns_ = daemon_metrics_.histogram("hist/daemon/handoff_ns");
 
   recover();
 
@@ -139,11 +151,21 @@ Server::Server(ServerOptions options)
     throw ProtocolError("cannot listen on '" + options_.socket_path +
                         "': " + std::strerror(errno));
   }
+  // Last: nothing after this may throw with the thread left unjoined.
+  writer_ = std::thread([this] { writer_main(); });
 }
 
 Server::~Server() {
   shutdown();
-  if (runner_.joinable()) runner_.join();
+  for (std::thread& runner : runners_) {
+    if (runner.joinable()) runner.join();
+  }
+  {
+    std::lock_guard<std::mutex> lk(write_mu_);
+    writer_stop_ = true;
+    write_cv_.notify_all();
+  }
+  writer_.join();
   for (const auto& c : connections_) {
     if (c->thread.joinable()) c->thread.join();
   }
@@ -174,48 +196,37 @@ Server::Tenant& Server::create_tenant(const std::string& id,
 }
 
 void Server::attach_session(Tenant& tenant) {
-  tenant.session = std::make_unique<core::Session>(tenant.spec);
-  core::Session& session = *tenant.session;
+  auto session = std::make_unique<core::Session>(tenant.spec);
   Tenant* t = &tenant;
 
   // Observer events append to the log *before* any state write at the
   // same boundary (merge_one fires observers; frontier sinks fire in
   // post_merge, strictly after) — the recovery truncation contract.
-  session.on_new_coverage([t](const core::CoverageEvent& e) {
+  session->on_new_coverage([t](const core::CoverageEvent& e) {
     t->events << coverage_event_line(e) << "\n";
     t->events.flush();
   });
-  session.on_vuln([t](const core::VulnEvent& e) {
+  session->on_vuln([t](const core::VulnEvent& e) {
     t->events << finding_event_line(e) << "\n";
     t->events.flush();
   });
-  session.on_progress([t](const core::ProgressEvent& e) {
+  session->on_progress([t](const core::ProgressEvent& e) {
     t->events << progress_event_line(e) << "\n";
     t->events.flush();
   });
 
-  // Durable state: every slice pause and the completion persist (both
-  // fire all sinks); there is no cadence within a slice.
-  const std::string state_path = store_.state_path(tenant.id);
-  const std::string metrics_path = store_.metrics_path(tenant.id);
-  session.on_frontier(
-      [this, t, state_path, metrics_path](const core::CampaignFrontier& f) {
-        const auto w0 = std::chrono::steady_clock::now();
-        save_state_file(state_path, t->spec, f);
-        const auto w1 = std::chrono::steady_clock::now();
-        state_writes_.add(0);
-        state_write_ns_.record(
-            0, static_cast<std::uint64_t>(
-                   std::chrono::duration_cast<std::chrono::nanoseconds>(w1 -
-                                                                        w0)
-                       .count()));
-
-        // Live iteration rate over the window since the previous state
-        // write (sink-private scratch; single writer — this strand).
+  // Durable state: every slice pause and the completion hand their
+  // frontier to the writer (both fire all sinks); there is no cadence
+  // within a slice.
+  session->on_frontier(
+      [this, t](const core::CampaignFrontier& f) {
+        const Clock::time_point h0 = Clock::now();
+        // Live iteration rate over the window since the previous
+        // frontier (sink-private scratch; single writer — this strand).
         if (t->rate_stamp.time_since_epoch().count() != 0 &&
             f.merged > t->rate_merged) {
           const double dt =
-              std::chrono::duration<double>(w0 - t->rate_stamp).count();
+              std::chrono::duration<double>(h0 - t->rate_stamp).count();
           if (dt > 0) {
             t->rate_milli.store(
                 static_cast<std::uint64_t>(
@@ -224,25 +235,18 @@ void Server::attach_session(Tenant& tenant) {
                 std::memory_order_relaxed);
           }
         }
-        t->rate_stamp = w0;
+        t->rate_stamp = h0;
         t->rate_merged = f.merged;
-
         t->merged.store(f.merged, std::memory_order_relaxed);
         t->vulns.store(f.result.vulns.size(), std::memory_order_relaxed);
-        t->last_state_merged.store(f.merged, std::memory_order_relaxed);
-
-        // Stamp the tenant's latest registry snapshot next to its state
-        // (atomic tmp+rename like status): scrapeable off disk even when
-        // the daemon is gone.
-        if (t->session != nullptr) {
-          std::string prom;
-          obs::render_prometheus(t->session->metrics_snapshot(),
-                                 "id=\"" + escape_json(t->id) + "\"",
-                                 prom);
-          util::write_file_atomic(metrics_path, prom);
-        }
+        hand_off(*t, f);
+        handoff_ns_.record(0, ns_between(h0, Clock::now()));
       },
       core::kFinalFrontierOnly);
+
+  // Published under mu_: scrapes read the session from other threads.
+  std::lock_guard<std::mutex> lk(mu_);
+  tenant.session = std::move(session);
 }
 
 void Server::recover() {
@@ -295,6 +299,7 @@ void Server::recover() {
 
       Tenant& tenant = create_tenant(id, std::move(disk_spec));
       tenant.merged.store(merged, std::memory_order_relaxed);
+      tenant.last_state_merged.store(merged, std::memory_order_relaxed);
       if (have_state) {
         tenant.vulns.store(state.frontier.result.vulns.size(),
                            std::memory_order_relaxed);
@@ -307,7 +312,9 @@ void Server::recover() {
         // reports: run() hands back the stored result without re-running.
         finish_tenant(tenant, tenant.session->run());
       } else {
+        std::lock_guard<std::mutex> lk(mu_);
         set_status(tenant, status == "paused" ? "paused" : "running");
+        schedule(tenant);
       }
     } catch (const std::exception& e) {
       // An unrecoverable campaign (corrupt state, unloadable spec) is
@@ -324,6 +331,15 @@ void Server::recover() {
   }
 }
 
+void Server::schedule(Tenant& tenant) {
+  if (tenant.scheduled || tenant.status != "running" ||
+      shutdown_.load(std::memory_order_relaxed)) {
+    return;
+  }
+  tenant.scheduled = true;
+  run_queue_.push(&tenant);
+}
+
 void Server::run_slice(Tenant& tenant) {
   core::Session& session = *tenant.session;
   session.request_pause_at(tenant.merged.load(std::memory_order_relaxed) +
@@ -336,9 +352,9 @@ void Server::run_slice(Tenant& tenant) {
     if (!session.paused()) {
       finish_tenant(tenant, result);
     }
-    // Paused mid-campaign: the frontier sink already persisted state.bin
-    // at the boundary; the tenant keeps its status and waits for the
-    // next round (or stays paused/cancelled if a verb changed it).
+    // Paused mid-campaign: the frontier sink already handed the
+    // boundary's frontier to the writer; the runner queues the tenant
+    // again unless a verb changed its status.
   } catch (const std::exception& e) {
     fail_tenant(tenant, e.what());
   }
@@ -346,6 +362,13 @@ void Server::run_slice(Tenant& tenant) {
 
 void Server::finish_tenant(Tenant& tenant,
                            const core::CampaignResult& result) {
+  // The completed frontier lands before the reports, so `done` still
+  // means state.bin, metrics.prom and report.* are final.
+  wait_written(&tenant);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (tenant.status == "failed") return;  // the writer failed it
+  }
   {
     std::ofstream text(store_.report_text_path(tenant.id), std::ios::trunc);
     core::write_text_report(text, result, &tenant.spec);
@@ -360,35 +383,123 @@ void Server::finish_tenant(Tenant& tenant,
 
 void Server::fail_tenant(Tenant& tenant, const std::string& why) {
   std::lock_guard<std::mutex> lk(mu_);
+  if (is_terminal(tenant.status)) return;
   tenant.detail = why;
   set_status(tenant, "failed");
+  // A writer failure can land mid-slice: stop at the next boundary.
+  if (tenant.session) tenant.session->request_pause();
 }
 
 void Server::runner_main() {
-  std::vector<Tenant*> runnable;
-  while (!shutdown_.load(std::memory_order_relaxed)) {
-    runnable.clear();
+  Tenant* tenant = nullptr;
+  while (run_queue_.pop(tenant)) {
     {
       std::lock_guard<std::mutex> lk(mu_);
-      for (auto& [id, tenant] : tenants_) {
-        if (tenant->status == "running") runnable.push_back(tenant.get());
+      if (tenant->status != "running" ||
+          shutdown_.load(std::memory_order_relaxed)) {
+        tenant->scheduled = false;
+        continue;
       }
+      ++slices_running_;
     }
-    if (runnable.empty()) {
-      std::unique_lock<std::mutex> lk(mu_);
-      runnable_cv_.wait_for(lk, std::chrono::milliseconds(50));
-      continue;
+    try {
+      run_slice(*tenant);
+    } catch (const std::exception& e) {
+      // fail_tenant could not write the status file; the tenant still
+      // reads failed in memory and is not queued again.
+      std::fprintf(stderr, "[specure] %s: %s\n", tenant->id.c_str(),
+                   e.what());
     }
-    // One slice per runnable tenant per round — fair scheduling with a
-    // deterministic per-tenant quantum, multiplexed over the shared pool.
-    pool_.parallel_for(runnable.size(), [&](std::size_t i, std::size_t) {
-      run_slice(*runnable[i]);
-    });
+    std::lock_guard<std::mutex> lk(mu_);
+    --slices_running_;
+    // Back of the queue: every other queued tenant gets its slice first.
+    tenant->scheduled = false;
+    schedule(*tenant);
+    if (slices_running_ == 0) idle_cv_.notify_all();
   }
 }
 
+void Server::hand_off(Tenant& tenant, const core::CampaignFrontier& f) {
+  auto copy = std::make_unique<core::CampaignFrontier>(f);
+  std::unique_ptr<core::CampaignFrontier> stale;
+  {
+    std::lock_guard<std::mutex> lk(write_mu_);
+    stale = std::exchange(tenant.pending, std::move(copy));
+    if (stale == nullptr) dirty_.push_back(&tenant);
+    write_cv_.notify_one();
+  }
+  if (stale != nullptr) coalesced_.add(0);
+}
+
+void Server::writer_main() {
+  std::unique_lock<std::mutex> lk(write_mu_);
+  for (;;) {
+    write_cv_.wait(lk, [this] { return writer_stop_ || !dirty_.empty(); });
+    if (dirty_.empty()) return;  // stopping, and every frontier written
+    Tenant* tenant = dirty_.front();
+    dirty_.pop_front();
+    std::unique_ptr<core::CampaignFrontier> f = std::move(tenant->pending);
+    writing_ = tenant;
+    lk.unlock();
+    try {
+      write_frontier(*tenant, *f);
+    } catch (const std::exception& e) {
+      // fail_tenant could not write the status file; the next start
+      // resumes the tenant from the last state that landed.
+      std::fprintf(stderr, "[specure] %s: %s\n", tenant->id.c_str(),
+                   e.what());
+    }
+    f.reset();
+    lk.lock();
+    writing_ = nullptr;
+    written_cv_.notify_all();
+  }
+}
+
+void Server::write_frontier(Tenant& tenant, const core::CampaignFrontier& f) {
+  const Clock::time_point w0 = Clock::now();
+  try {
+    save_state_file(store_.state_path(tenant.id), tenant.spec, f);
+  } catch (const std::exception& e) {
+    fail_tenant(tenant, e.what());
+    return;
+  }
+  const Clock::time_point w1 = Clock::now();
+  state_writes_.add(0);
+  state_write_ns_.record(0, ns_between(w0, w1));
+  tenant.last_state_merged.store(f.merged, std::memory_order_relaxed);
+
+  // Stamp the tenant's registry snapshot next to its state (atomic
+  // tmp+rename like status): scrapeable off disk even when the daemon is
+  // gone.
+  if (!f.completed && tenant.prom_stamp.time_since_epoch().count() != 0 &&
+      w1 - tenant.prom_stamp < kPromStampInterval) {
+    return;
+  }
+  tenant.prom_stamp = w1;
+  std::string prom;
+  obs::render_prometheus(tenant.session->metrics_snapshot(),
+                         "id=\"" + escape_json(tenant.id) + "\"", prom);
+  util::write_file_atomic(store_.metrics_path(tenant.id), prom);
+  prom_write_ns_.record(0, ns_between(w1, Clock::now()));
+}
+
+void Server::wait_written(const Tenant* tenant) {
+  std::unique_lock<std::mutex> lk(write_mu_);
+  written_cv_.wait(lk, [&] {
+    if (tenant == nullptr) return dirty_.empty() && writing_ == nullptr;
+    return tenant->pending == nullptr && writing_ != tenant;
+  });
+}
+
 void Server::run() {
-  runner_ = std::thread([this] { runner_main(); });
+  std::size_t runners = options_.workers != 0
+                            ? options_.workers
+                            : std::thread::hardware_concurrency();
+  if (runners == 0) runners = 1;
+  for (std::size_t i = 0; i < runners; ++i) {
+    runners_.emplace_back([this] { runner_main(); });
+  }
   while (!shutdown_.load(std::memory_order_relaxed)) {
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 100);
@@ -417,7 +528,9 @@ void Server::run() {
     });
     connections_.push_back(std::move(conn));
   }
-  if (runner_.joinable()) runner_.join();
+  shutdown();  // no-op after a shutdown verb; ends the runners otherwise
+  for (std::thread& runner : runners_) runner.join();
+  runners_.clear();
   {
     // Unblock any handler still parked in read()/poll().
     std::lock_guard<std::mutex> lk(conn_mu_);
@@ -438,15 +551,19 @@ void Server::reap_connections() {
 }
 
 void Server::shutdown() {
-  if (shutdown_.exchange(true)) return;
-  // Running campaigns stop at their next merge boundary; the pause path
-  // fires every frontier sink, so each tenant's state.bin is current
-  // before the runner round ends.
-  std::lock_guard<std::mutex> lk(mu_);
-  for (auto& [id, tenant] : tenants_) {
-    if (tenant->session) tenant->session->request_pause();
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    if (!shutdown_.exchange(true)) {
+      // Running slices stop at their next merge boundary; the pause path
+      // hands every tenant's final frontier to the writer.
+      for (auto& [id, tenant] : tenants_) {
+        if (tenant->session) tenant->session->request_pause();
+      }
+      run_queue_.close();
+    }
+    idle_cv_.wait(lk, [this] { return slices_running_ == 0; });
   }
-  runnable_cv_.notify_all();
+  wait_written(nullptr);
 }
 
 void Server::handle_connection(int fd) {
@@ -495,8 +612,8 @@ std::string Server::handle_request(const std::string& frame, int fd,
       {
         std::lock_guard<std::mutex> lk(mu_);
         set_status(tenant, "running");
+        schedule(tenant);
       }
-      runnable_cv_.notify_all();
       return "{\"ok\": true, \"id\": \"" + escape_json(id) + "\"}";
     }
 
@@ -604,7 +721,9 @@ std::string Server::handle_request(const std::string& frame, int fd,
                             tenant->status + ")");
       }
       if (tenant->status == "paused") set_status(*tenant, "running");
-      runnable_cv_.notify_all();
+      // Mid-slice, the tenant is still scheduled: its runner queues it
+      // again when the slice ends.
+      schedule(*tenant);
       return "{\"ok\": true, \"id\": \"" + escape_json(req.id) +
              "\", \"status\": \"running\"}";
     }
@@ -630,6 +749,7 @@ std::string Server::render_metrics(const std::string& id) {
   struct Target {
     std::string id;
     Tenant* tenant;
+    const core::Session* session;  ///< read under mu_ (attach publishes)
   };
   std::vector<Target> targets;
   std::size_t active = 0;
@@ -639,7 +759,9 @@ std::string Server::render_metrics(const std::string& id) {
     for (auto& [tid, tenant] : tenants_) {
       ++total;
       if (tenant->status == "running") ++active;
-      if (id.empty() || tid == id) targets.push_back({tid, tenant.get()});
+      if (id.empty() || tid == id) {
+        targets.push_back({tid, tenant.get(), tenant->session.get()});
+      }
     }
   }
   if (id.empty()) {
@@ -654,8 +776,8 @@ std::string Server::render_metrics(const std::string& id) {
     Tenant* t = target.tenant;
     // The session registry snapshot is mutex+atomic internally, safe to
     // take while the runner is mid-slice in the same session.
-    if (t->session != nullptr) {
-      renderer.add(t->session->metrics_snapshot(), labels);
+    if (target.session != nullptr) {
+      renderer.add(target.session->metrics_snapshot(), labels);
     }
     renderer.add_sample(
         "tenant/iters_per_sec", "gauge",

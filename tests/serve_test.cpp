@@ -1,8 +1,9 @@
 // Serve-layer coverage: durable campaign state (round-trip bit-identity,
 // kill-at-any-boundary resume equivalence, corruption/version-skew
 // rejection), the wire protocol (framing limits, line-numbered field
-// errors, did-you-mean verbs), and the daemon itself (two concurrent
-// tenants bit-identical to solo runs, shutdown-mid-campaign recovery).
+// errors, did-you-mean verbs), and the daemon itself (concurrent tenants
+// bit-identical to solo runs, shutdown-mid-campaign recovery, the state
+// writer's failures and final writes, the run queue under pause/resume).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -22,6 +23,7 @@
 #include "core/report.hpp"
 #include "core/session.hpp"
 #include "core/vuln_detect.hpp"
+#include "obs/metrics.hpp"
 #include "serve/campaign_state.hpp"
 #include "serve/campaign_store.hpp"
 #include "serve/protocol.hpp"
@@ -403,11 +405,15 @@ class ServeDaemon : public ::testing::Test {
     return id != nullptr ? id->text : "";
   }
 
+  Json status(const std::string& id) {
+    Client client(socket_);
+    return client.request("{\"verb\": \"status\", \"id\": \"" + id +
+                          "\"}");
+  }
+
   std::string wait_done(const std::string& id, int timeout_ms = 60000) {
     for (int waited = 0; waited < timeout_ms; waited += 20) {
-      Client client(socket_);
-      const Json reply = client.request("{\"verb\": \"status\", \"id\": \"" +
-                                        id + "\"}");
+      const Json reply = status(id);
       const Json* status = reply.find("status");
       if (status != nullptr &&
           (status->text == "done" || status->text == "failed")) {
@@ -416,6 +422,39 @@ class ServeDaemon : public ::testing::Test {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
     return "timeout";
+  }
+
+  /// Poll until the tenant has merged at least `iterations`.
+  void wait_merged(const std::string& id, std::uint64_t iterations) {
+    for (int waited = 0; waited < 30000; waited += 10) {
+      const Json reply = status(id);
+      const Json* merged = reply.find("iterations");
+      if (merged != nullptr && merged->number >= iterations) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ADD_FAILURE() << id << " never merged " << iterations << " iterations";
+  }
+
+  /// The tenant's report.json equals a solo run's, wall-clock aside.
+  void expect_solo_report(const std::string& id,
+                          const core::CampaignSpec& spec) {
+    // What the daemon runs: the submitted TOML with jobs forced to 1.
+    core::CampaignSpec tenant =
+        core::CampaignSpec::from_toml_string(spec.to_toml());
+    tenant.set("jobs", "1");
+    core::Session solo(tenant);
+    core::CampaignResult result = solo.run();
+    result.seconds = 0;
+    std::ostringstream expected;
+    core::write_json_report(expected, result, 64, &tenant);
+    std::string got = read_file(server_->store().report_json_path(id));
+    // The daemon's report carries its live seconds: zero that one field.
+    const std::string key = "\"seconds\": ";
+    const std::size_t at = got.find(key);
+    ASSERT_NE(at, std::string::npos) << id;
+    const std::size_t end = got.find_first_of(",}", at + key.size());
+    got.replace(at + key.size(), end - at - key.size(), "0");
+    EXPECT_EQ(got, expected.str()) << id;
   }
 
   std::string root_;
@@ -645,6 +684,136 @@ TEST_F(ServeDaemon, PauseHaltsProgressAndResumeCompletes) {
     ASSERT_EQ(reply.find("error"), nullptr);
   }
   EXPECT_EQ(wait_done(id), "done");
+}
+
+TEST_F(ServeDaemon, StateWriterFailureFailsOnlyItsTenant) {
+  start("writer_failure");
+  const std::string id = submit(small_spec("default", 400, 7, 1));
+  wait_merged(id, 8);
+  stop();
+  // A directory where the state file's temp file goes makes the writer's
+  // atomic replace fail at open; recovery itself only reads state.bin.
+  const std::string blocker = root_ + "/" + id + "/state.bin.tmp";
+  std::filesystem::create_directory(blocker);
+  start("writer_failure", /*keep_store=*/true);
+  EXPECT_EQ(wait_done(id), "failed");
+  const std::string status = read_file(server_->store().status_path(id));
+  EXPECT_EQ(status.rfind("failed\n", 0), 0u) << status;
+  EXPECT_NE(status.find("cannot write campaign state"), std::string::npos)
+      << status;
+  EXPECT_NE(status.find("state.bin.tmp"), std::string::npos) << status;
+
+  // The daemon still serves: a second tenant finishes as it would alone.
+  const core::CampaignSpec other = small_spec("zenbleed", 60, 6, 1);
+  const std::string other_id = submit(other);
+  EXPECT_EQ(wait_done(other_id), "done");
+  expect_solo_report(other_id, other);
+  std::filesystem::remove(blocker);
+}
+
+TEST_F(ServeDaemon, DoneTenantLeavesCompletedStateAndMetrics) {
+  start("final_write");
+  const std::string id = submit(small_spec("default", 120, 5, 1));
+  ASSERT_EQ(wait_done(id), "done");
+  stop();
+  const CampaignState state =
+      load_state_file(root_ + "/" + id + "/state.bin");
+  EXPECT_TRUE(state.frontier.completed);
+  EXPECT_EQ(state.frontier.merged, 120u);
+  EXPECT_EQ(state.frontier.result.history.size(), 120u);
+  const std::string prom = read_file(root_ + "/" + id + "/metrics.prom");
+  EXPECT_NE(prom.find("specure_campaign_iterations_total{id=\"" + id +
+                      "\"} 120\n"),
+            std::string::npos)
+      << prom;
+}
+
+TEST_F(ServeDaemon, DaemonPageTimesEveryFileTheWriterReplaces) {
+  start("write_metrics");
+  const std::string id = submit(small_spec("default", 40, 5, 1));
+  ASSERT_EQ(wait_done(id), "done");
+  Client client(socket_);
+  const Json reply = client.request("{\"verb\": \"metrics\"}");
+  const Json* page = reply.find("metrics");
+  ASSERT_NE(page, nullptr);
+  for (const char* family : {
+           "# TYPE specure_daemon_state_writes_total counter",
+           "# TYPE specure_daemon_state_write_seconds histogram",
+           "# TYPE specure_daemon_prom_write_seconds histogram",
+           "# TYPE specure_daemon_handoff_seconds histogram",
+           "# TYPE specure_daemon_frontiers_coalesced_total counter",
+       }) {
+    EXPECT_NE(page->text.find(family), std::string::npos) << family;
+  }
+  // Every slice hands one frontier off, and by `done` each was written
+  // or replaced by a newer one before its turn.
+  const obs::Snapshot daemon = server_->metrics_snapshot();
+  const obs::HistogramSnapshot* handoffs =
+      daemon.histogram("hist/daemon/handoff_ns");
+  ASSERT_NE(handoffs, nullptr);
+  EXPECT_GE(handoffs->count, 5u);  // 40 iterations in slices of 8
+  EXPECT_EQ(handoffs->count, daemon.counter_value("daemon/slices"));
+  EXPECT_EQ(daemon.counter_value("daemon/state_writes") +
+                daemon.counter_value("daemon/frontiers_coalesced"),
+            handoffs->count);
+  const obs::HistogramSnapshot* stamps =
+      daemon.histogram("hist/daemon/prom_write_ns");
+  ASSERT_NE(stamps, nullptr);
+  EXPECT_GE(stamps->count, 1u);  // at least the completed frontier's
+}
+
+TEST_F(ServeDaemon, ThreeTenantsShareTwoRunnersWithoutRounds) {
+  start("three_tenants");
+  const core::CampaignSpec specs[] = {
+      small_spec("default", 400, 3, 1),
+      small_spec("default", 400, 4, 1),
+      small_spec("zenbleed", 120, 6, 1),
+  };
+  std::vector<std::string> ids;
+  for (const core::CampaignSpec& spec : specs) ids.push_back(submit(spec));
+  // Both runners start on the first two tenants; the third must get its
+  // turn from the queue long before the first is done.
+  bool third_ran_early = false;
+  for (int waited = 0; waited < 60000; waited += 5) {
+    const Json third_reply = status(ids[2]);
+    const Json first_reply = status(ids[0]);
+    const Json* third = third_reply.find("iterations");
+    const Json* first = first_reply.find("status");
+    ASSERT_NE(first, nullptr);
+    if (first->text == "done") break;
+    if (third != nullptr && third->number > 0) {
+      third_ran_early = true;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(third_ran_early);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(wait_done(ids[i]), "done") << ids[i];
+    expect_solo_report(ids[i], specs[i]);
+  }
+}
+
+TEST_F(ServeDaemon, BackToBackPauseResumeNeverDoubleSchedules) {
+  start("pause_storm");
+  // Long enough that the campaign cannot end before the 100 requests.
+  const core::CampaignSpec spec = small_spec("default", 1000, 3, 1);
+  const std::string id = submit(spec);
+  wait_merged(id, 8);
+  // Pairs land mid-slice and between slices alike; a tenant queued twice
+  // would run one Session on two runners at once.
+  Client client(socket_);
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_EQ(client.request("{\"verb\": \"pause\", \"id\": \"" + id + "\"}")
+                  .find("error"),
+              nullptr);
+    ASSERT_EQ(client.request("{\"verb\": \"resume\", \"id\": \"" + id +
+                             "\"}")
+                  .find("error"),
+              nullptr);
+  }
+  EXPECT_EQ(wait_done(id), "done");
+  expect_solo_report(id, spec);
 }
 
 std::size_t thread_count() {

@@ -794,7 +794,7 @@ constexpr const char* kDefaultStore = "specure-store";
 const std::vector<FlagDef> kServeFlags = {
     {"--socket", true, "Unix-domain socket to listen on (default specure.sock)"},
     {"--store", true, "campaign store directory (default specure-store)"},
-    {"--workers", true, "shared pool threads, 0 = all hardware"},
+    {"--workers", true, "runner threads, 0 = all hardware"},
     {"--slice", true, "fair-scheduling quantum in iterations (default 32)"},
 };
 
@@ -833,6 +833,9 @@ int cmd_serve(const Args& args) {
     done.store(true, std::memory_order_relaxed);
   });
   bool asked = false;
+  // shutdown() returns once every tenant's state is written; it runs on
+  // its own thread so a second signal can still force-quit meanwhile.
+  std::thread stopping;
   const timespec tick{0, 200 * 1000 * 1000};
   while (!done.load(std::memory_order_relaxed)) {
     const int sig = ::sigtimedwait(&stop_set, nullptr, &tick);
@@ -842,9 +845,10 @@ int cmd_serve(const Args& args) {
     std::fprintf(stderr,
                  "[specure] caught signal: campaigns pause at their next "
                  "merge boundary and persist (again to force-quit)\n");
-    server.shutdown();
+    stopping = std::thread([&server] { server.shutdown(); });
   }
   serving.join();
+  if (stopping.joinable()) stopping.join();
   std::fprintf(stderr, "[specure] daemon stopped; campaigns resume on the "
                        "next `specure serve --store %s`\n",
                server.options().store_root.c_str());
